@@ -1,491 +1,142 @@
-"""Hot numeric kernels: the 63-equation RHS, its two-qubit analogue, and the
-fixed-step RK4 drive loop.
+"""The real linear ODE dR/dtau = A(tau) R and its fixed-step RK4 driver.
 
-Two code paths exist:
-  * loop kernels compiled with numba @njit (default), and
-  * a vectorized pure-numpy path (einsum / precomputed generator matrices).
+rhs_three is the one definition of the 63 equations: seven einsum blocks
+(local Bloch vectors, the three pair-correlation tensors, the triple tensor),
+cross-checked against the complex commutator in the test suite.
 
-Set SPINTRIO_NO_NUMBA=1 to force the numpy path; it is also selected
-automatically when numba is unavailable.  benchmarks/bench_kernels.py compares
-the two.  Both paths implement the same seven derivative blocks (local Bloch
-vectors, the three pair-correlation tensors, the triple tensor) and are
-cross-checked against the complex commutator oracle in the test suite.
+The right-hand side is jointly linear in the state and in (h, J).  Feeding
+the 64 unit tensors through it gives twelve 64x64 generators, one per field
+component per qubit and one per exchange constant.  For a base field h(tau)
+seen by qubit q as multipliers[q] * h(tau),
 
-Field kind codes: 0 = resonant circular (R), 1 = nonresonant circular (NR),
-2 = constant longitudinal (ConstantZ).
+    A(tau) = M_J + h_x(tau) F_x + h_y(tau) F_y + h_z(tau) F_z,
+
+so a trajectory needs one stack [M_J; F_x; F_y; F_z] and the coefficients
+[1, h_x, h_y, h_z] on the time grid.  The two-qubit (e, p) reduction is the
+(a, b, 0) block of the same generators with qubit n decoupled.
 """
 
-import os
+import functools
 
 import numpy as np
 
-_EPS = np.zeros((4, 4, 4))
-for _i, _j, _k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_i, _k, _j] = -1.0
-_E3 = np.ascontiguousarray(_EPS[1:, 1:, 1:])
+_E3 = np.zeros((3, 3, 3))
+for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+    _E3[_i, _j, _k] = 1.0
+    _E3[_i, _k, _j] = -1.0
 
-_env = os.environ.get("SPINTRIO_NO_NUMBA", "").strip().lower()
-_numba_requested = _env not in ("1", "true", "yes", "on")
+# Flat indices of the (a, b, 0) components of a 4x4x4 tensor.
+PAIR = np.arange(16) * 4
 
-NUMBA_ENABLED = False
-if _numba_requested:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep normally
-        pass
-
-
-# ---------------------------------------------------------------------------
-# loop kernels (numba path)
-# ---------------------------------------------------------------------------
-
-def _rhs3(r, he, hp, hn, jep, jen, jpn, out):
-    """dR/dtau for the three-qubit system, written into `out` (4x4x4)."""
-    eps = _EPS
-    out[0, 0, 0] = 0.0
-    # local Bloch vectors
-    for q in range(1, 4):
-        da = 0.0
-        db = 0.0
-        dc = 0.0
-        for i in range(1, 4):
-            for l in range(1, 4):
-                e = eps[i, l, q]
-                if e != 0.0:
-                    da += e * he[i - 1] * r[l, 0, 0]
-                    db += e * hp[i - 1] * r[0, l, 0]
-                    dc += e * hn[i - 1] * r[0, 0, l]
-        for m in range(1, 4):
-            for l in range(1, 4):
-                e = eps[m, l, q]
-                if e != 0.0:
-                    da += e * (jep * r[l, m, 0] + jen * r[l, 0, m])
-                    db += e * (jep * r[m, l, 0] + jpn * r[0, l, m])
-                e = eps[l, m, q]
-                if e != 0.0:
-                    dc += e * (jen * r[l, 0, m] + jpn * r[0, l, m])
-        out[q, 0, 0] = da
-        out[0, q, 0] = db
-        out[0, 0, q] = dc
-    # pair-correlation tensors
-    for q in range(1, 4):
-        for k in range(1, 4):
-            dd = 0.0
-            de = 0.0
-            df = 0.0
-            for i in range(1, 4):
-                for l in range(1, 4):
-                    e = eps[i, l, q]
-                    if e != 0.0:
-                        dd += e * he[i - 1] * r[l, k, 0]
-                        de += e * he[i - 1] * r[l, 0, k]
-                        df += e * hp[i - 1] * r[0, l, k]
-                for m in range(1, 4):
-                    e = eps[i, m, k]
-                    if e != 0.0:
-                        dd += e * hp[i - 1] * r[q, m, 0]
-                        de += e * hn[i - 1] * r[q, 0, m]
-                        df += e * hn[i - 1] * r[0, q, m]
-            for m in range(1, 4):
-                e = eps[k, m, q]
-                if e != 0.0:
-                    dd += jep * e * (r[m, 0, 0] - r[0, m, 0])
-                e = eps[q, m, k]
-                if e != 0.0:
-                    de += jen * e * (r[0, 0, m] - r[m, 0, 0])
-                    df += jpn * e * (r[0, 0, m] - r[0, m, 0])
-            for l in range(1, 4):
-                for m in range(1, 4):
-                    e = eps[l, m, q]
-                    if e != 0.0:
-                        dd += jen * e * r[m, k, l]
-                        de += jep * e * r[m, l, k]
-                        df += jep * e * r[l, m, k]
-                    e = eps[l, m, k]
-                    if e != 0.0:
-                        dd += jpn * e * r[q, m, l]
-                        de += jpn * e * r[q, l, m]
-                        df += jen * e * r[l, q, m]
-            out[q, k, 0] = dd
-            out[q, 0, k] = de
-            out[0, q, k] = df
-    # triple-correlation tensor
-    for q in range(1, 4):
-        for k in range(1, 4):
-            for l in range(1, 4):
-                dg = 0.0
-                for i in range(1, 4):
-                    for m in range(1, 4):
-                        e = eps[i, m, q]
-                        if e != 0.0:
-                            dg += e * he[i - 1] * r[m, k, l]
-                        e = eps[i, m, k]
-                        if e != 0.0:
-                            dg += e * hp[i - 1] * r[q, m, l]
-                        e = eps[i, m, l]
-                        if e != 0.0:
-                            dg += e * hn[i - 1] * r[q, k, m]
-                for m in range(1, 4):
-                    e = eps[k, m, q]
-                    if e != 0.0:
-                        dg += jep * e * (r[m, 0, l] - r[0, m, l])
-                    e = eps[q, m, l]
-                    if e != 0.0:
-                        dg += jen * e * (r[0, k, m] - r[m, k, 0])
-                    e = eps[k, m, l]
-                    if e != 0.0:
-                        dg += jpn * e * (r[q, 0, m] - r[q, m, 0])
-                out[q, k, l] = dg
-
-
-def _rhs2(r, he, hp, jep, out):
-    """dR/dtau for the reduced two-qubit system, written into `out` (4x4)."""
-    eps = _EPS
-    out[0, 0] = 0.0
-    for q in range(1, 4):
-        da = 0.0
-        db = 0.0
-        for i in range(1, 4):
-            for l in range(1, 4):
-                e = eps[i, l, q]
-                if e != 0.0:
-                    da += e * he[i - 1] * r[l, 0]
-                    db += e * hp[i - 1] * r[0, l]
-        for m in range(1, 4):
-            for l in range(1, 4):
-                e = eps[m, l, q]
-                if e != 0.0:
-                    da += jep * e * r[l, m]
-                    db += jep * e * r[m, l]
-        out[q, 0] = da
-        out[0, q] = db
-    for q in range(1, 4):
-        for k in range(1, 4):
-            dc = 0.0
-            for i in range(1, 4):
-                for l in range(1, 4):
-                    e = eps[i, l, q]
-                    if e != 0.0:
-                        dc += e * he[i - 1] * r[l, k]
-                for m in range(1, 4):
-                    e = eps[i, m, k]
-                    if e != 0.0:
-                        dc += e * hp[i - 1] * r[q, m]
-            for m in range(1, 4):
-                e = eps[k, m, q]
-                if e != 0.0:
-                    dc += jep * e * (r[m, 0] - r[0, m])
-            out[q, k] = dc
-
-
-def _field_base(kind, w0, w1, tau, out):
-    """Base field H(tau) (before per-qubit multipliers) into `out` (3,)."""
-    if kind == 0:  # resonant circular
-        out[0] = -w1 * np.cos(tau)
-        out[1] = w1 * np.sin(tau)
-        out[2] = -w0
-    elif kind == 1:  # nonresonant circular
-        out[0] = -w1 * np.cos(tau)
-        out[1] = -w1 * np.sin(tau)
-        out[2] = -w0
-    else:  # constant longitudinal
-        out[0] = 0.0
-        out[1] = 0.0
-        out[2] = w0
-
-
-def _rk4_three(r0, dt, n_steps, sample_every, kind, w0, w1, mults,
-               jep, jen, jpn):
-    """Classical RK4 over the full tensor; returns sampled states."""
-    n_samp = n_steps // sample_every + 1
-    out = np.empty((n_samp, 4, 4, 4))
-    r = r0.copy()
-    out[0] = r
-    h = np.empty(3)
-    he = np.empty(3)
-    hp = np.empty(3)
-    hn = np.empty(3)
-    k1 = np.empty((4, 4, 4))
-    k2 = np.empty((4, 4, 4))
-    k3 = np.empty((4, 4, 4))
-    k4 = np.empty((4, 4, 4))
-    si = 1
-    for step in range(n_steps):
-        tau = step * dt
-        _field_base(kind, w0, w1, tau, h)
-        for c in range(3):
-            he[c] = mults[0] * h[c]
-            hp[c] = mults[1] * h[c]
-            hn[c] = mults[2] * h[c]
-        _rhs3(r, he, hp, hn, jep, jen, jpn, k1)
-        _field_base(kind, w0, w1, tau + 0.5 * dt, h)
-        for c in range(3):
-            he[c] = mults[0] * h[c]
-            hp[c] = mults[1] * h[c]
-            hn[c] = mults[2] * h[c]
-        _rhs3(r + 0.5 * dt * k1, he, hp, hn, jep, jen, jpn, k2)
-        _rhs3(r + 0.5 * dt * k2, he, hp, hn, jep, jen, jpn, k3)
-        _field_base(kind, w0, w1, tau + dt, h)
-        for c in range(3):
-            he[c] = mults[0] * h[c]
-            hp[c] = mults[1] * h[c]
-            hn[c] = mults[2] * h[c]
-        _rhs3(r + dt * k3, he, hp, hn, jep, jen, jpn, k4)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % sample_every == 0:
-            out[si] = r
-            si += 1
-    return out
-
-
-def _rk4_two(r0, dt, n_steps, sample_every, kind, w0, w1, me, mp, jep):
-    n_samp = n_steps // sample_every + 1
-    out = np.empty((n_samp, 4, 4))
-    r = r0.copy()
-    out[0] = r
-    h = np.empty(3)
-    he = np.empty(3)
-    hp = np.empty(3)
-    k1 = np.empty((4, 4))
-    k2 = np.empty((4, 4))
-    k3 = np.empty((4, 4))
-    k4 = np.empty((4, 4))
-    si = 1
-    for step in range(n_steps):
-        tau = step * dt
-        _field_base(kind, w0, w1, tau, h)
-        for c in range(3):
-            he[c] = me * h[c]
-            hp[c] = mp * h[c]
-        _rhs2(r, he, hp, jep, k1)
-        _field_base(kind, w0, w1, tau + 0.5 * dt, h)
-        for c in range(3):
-            he[c] = me * h[c]
-            hp[c] = mp * h[c]
-        _rhs2(r + 0.5 * dt * k1, he, hp, jep, k2)
-        _rhs2(r + 0.5 * dt * k2, he, hp, jep, k3)
-        _field_base(kind, w0, w1, tau + dt, h)
-        for c in range(3):
-            he[c] = me * h[c]
-            hp[c] = mp * h[c]
-        _rhs2(r + dt * k3, he, hp, jep, k4)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % sample_every == 0:
-            out[si] = r
-            si += 1
-    return out
-
-
-if NUMBA_ENABLED:
-    _rhs3 = njit(cache=True)(_rhs3)
-    _rhs2 = njit(cache=True)(_rhs2)
-    _field_base = njit(cache=True)(_field_base)
-    _rk4_three = njit(cache=True)(_rk4_three)
-    _rk4_two = njit(cache=True)(_rk4_two)
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy path
-# ---------------------------------------------------------------------------
-
-def rhs_three_numpy(r, he, hp, hn, jep, jen, jpn, out=None):
-    """Einsum formulation of the same seven derivative blocks."""
-    if out is None:
-        out = np.zeros((4, 4, 4))
-    e = _E3
-    rq00 = r[1:, 0, 0]
-    r0q0 = r[0, 1:, 0]
-    r00q = r[0, 0, 1:]
-    rqk0 = r[1:, 1:, 0]
-    rq0k = r[1:, 0, 1:]
-    r0qk = r[0, 1:, 1:]
-    rqkl = r[1:, 1:, 1:]
-    out[0, 0, 0] = 0.0
-    out[1:, 0, 0] = (np.einsum('ilq,i,l->q', e, he, rq00)
-                     + np.einsum('mlq,lm->q', e, jep * rqk0 + jen * rq0k))
-    out[0, 1:, 0] = (np.einsum('ilq,i,l->q', e, hp, r0q0)
-                     + jep * np.einsum('mlq,ml->q', e, rqk0)
-                     + jpn * np.einsum('mlq,lm->q', e, r0qk))
-    out[0, 0, 1:] = (np.einsum('ilq,i,l->q', e, hn, r00q)
-                     + np.einsum('lmq,lm->q', e, jen * rq0k + jpn * r0qk))
-    out[1:, 1:, 0] = (np.einsum('ilq,i,lk->qk', e, he, rqk0)
-                      + np.einsum('imk,i,qm->qk', e, hp, rqk0)
-                      + jep * np.einsum('kmq,m->qk', e, rq00 - r0q0)
-                      + jen * np.einsum('lmq,mkl->qk', e, rqkl)
-                      + jpn * np.einsum('lmk,qml->qk', e, rqkl))
-    out[1:, 0, 1:] = (np.einsum('ilq,i,lk->qk', e, he, rq0k)
-                      + np.einsum('imk,i,qm->qk', e, hn, rq0k)
-                      + jen * np.einsum('qmk,m->qk', e, r00q - rq00)
-                      + jep * np.einsum('lmq,mlk->qk', e, rqkl)
-                      + jpn * np.einsum('lmk,qlm->qk', e, rqkl))
-    out[0, 1:, 1:] = (np.einsum('ilq,i,lk->qk', e, hp, r0qk)
-                      + np.einsum('imk,i,qm->qk', e, hn, r0qk)
-                      + jpn * np.einsum('qmk,m->qk', e, r00q - r0q0)
-                      + jep * np.einsum('lmq,lmk->qk', e, rqkl)
-                      + jen * np.einsum('lmk,lqm->qk', e, rqkl))
-    out[1:, 1:, 1:] = (np.einsum('imq,i,mkl->qkl', e, he, rqkl)
-                       + np.einsum('imk,i,qml->qkl', e, hp, rqkl)
-                       + np.einsum('iml,i,qkm->qkl', e, hn, rqkl)
-                       + jep * np.einsum('kmq,ml->qkl', e, rq0k - r0qk)
-                       + jen * (np.einsum('qml,km->qkl', e, r0qk)
-                                - np.einsum('qml,mk->qkl', e, rqk0))
-                       + jpn * np.einsum('kml,qm->qkl', e, rq0k - rqk0))
-    return out
-
-
-def rhs_two_numpy(r, he, hp, jep, out=None):
-    if out is None:
-        out = np.zeros((4, 4))
-    e = _E3
-    rq0 = r[1:, 0]
-    r0q = r[0, 1:]
-    rqk = r[1:, 1:]
-    out[0, 0] = 0.0
-    out[1:, 0] = (np.einsum('ilq,i,l->q', e, he, rq0)
-                  + jep * np.einsum('mlq,lm->q', e, rqk))
-    out[0, 1:] = (np.einsum('ilq,i,l->q', e, hp, r0q)
-                  + jep * np.einsum('mlq,ml->q', e, rqk))
-    out[1:, 1:] = (np.einsum('ilq,i,lk->qk', e, he, rqk)
-                   + np.einsum('imk,i,qm->qk', e, hp, rqk)
-                   + jep * np.einsum('kmq,m->qk', e, rq0 - r0q))
-    return out
-
-
-def field_base_numpy(kind, w0, w1, tau):
-    if kind == 0:
-        return np.array([-w1 * np.cos(tau), w1 * np.sin(tau), -w0])
-    if kind == 1:
-        return np.array([-w1 * np.cos(tau), -w1 * np.sin(tau), -w0])
-    return np.array([0.0, 0.0, w0])
-
-
-# The RHS is jointly linear in the state and in (h, J), so the numpy drive
-# loop works with precomputed 64x64 generator matrices: one per field
-# component per qubit, one per coupling constant.  Built lazily from the
-# einsum RHS by feeding unit tensors through it.
-_GEN3 = None
-
-
-def _generators_three():
-    global _GEN3
-    if _GEN3 is None:
-        unit_h = np.eye(3)
-        zero = np.zeros(3)
-        gens = np.empty((12, 64, 64))
-        basis_r = np.eye(64).reshape(64, 4, 4, 4)
-        for w, rb in enumerate(basis_r):
-            for i in range(3):
-                gens[i, :, w] = rhs_three_numpy(
-                    rb, unit_h[i], zero, zero, 0, 0, 0).ravel()
-                gens[3 + i, :, w] = rhs_three_numpy(
-                    rb, zero, unit_h[i], zero, 0, 0, 0).ravel()
-                gens[6 + i, :, w] = rhs_three_numpy(
-                    rb, zero, zero, unit_h[i], 0, 0, 0).ravel()
-            gens[9, :, w] = rhs_three_numpy(rb, zero, zero, zero, 1, 0, 0).ravel()
-            gens[10, :, w] = rhs_three_numpy(rb, zero, zero, zero, 0, 1, 0).ravel()
-            gens[11, :, w] = rhs_three_numpy(rb, zero, zero, zero, 0, 0, 1).ravel()
-        _GEN3 = gens
-    return _GEN3
-
-
-def _rk4_three_numpy(r0, dt, n_steps, sample_every, kind, w0, w1, mults,
-                     jep, jen, jpn):
-    gens = _generators_three()
-    m_const = np.tensordot([jep, jen, jpn], gens[9:], axes=1)
-    field_gens = (mults[0] * gens[0:3]
-                  + mults[1] * gens[3:6]
-                  + mults[2] * gens[6:9])
-
-    def matrix(tau):
-        h = field_base_numpy(kind, w0, w1, tau)
-        return m_const + np.tensordot(h, field_gens, axes=1)
-
-    n_samp = n_steps // sample_every + 1
-    out = np.empty((n_samp, 4, 4, 4))
-    y = r0.ravel().copy()
-    out[0] = r0
-    si = 1
-    for step in range(n_steps):
-        tau = step * dt
-        m0 = matrix(tau)
-        m_half = matrix(tau + 0.5 * dt)
-        m1 = matrix(tau + dt)
-        k1 = m0 @ y
-        k2 = m_half @ (y + 0.5 * dt * k1)
-        k3 = m_half @ (y + 0.5 * dt * k2)
-        k4 = m1 @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % sample_every == 0:
-            out[si] = y.reshape(4, 4, 4)
-            si += 1
-    return out
-
-
-def _rk4_two_numpy(r0, dt, n_steps, sample_every, kind, w0, w1, me, mp, jep):
-    n_samp = n_steps // sample_every + 1
-    out = np.empty((n_samp, 4, 4))
-    r = r0.copy()
-    out[0] = r
-    si = 1
-    for step in range(n_steps):
-        tau = step * dt
-        h0 = field_base_numpy(kind, w0, w1, tau)
-        hh = field_base_numpy(kind, w0, w1, tau + 0.5 * dt)
-        h1 = field_base_numpy(kind, w0, w1, tau + dt)
-        k1 = rhs_two_numpy(r, me * h0, mp * h0, jep)
-        k2 = rhs_two_numpy(r + 0.5 * dt * k1, me * hh, mp * hh, jep)
-        k3 = rhs_two_numpy(r + 0.5 * dt * k2, me * hh, mp * hh, jep)
-        k4 = rhs_two_numpy(r + dt * k3, me * h1, mp * h1, jep)
-        r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % sample_every == 0:
-            out[si] = r
-            si += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
 
 def rhs_three(r, he, hp, hn, jep, jen, jpn):
-    """Active-path dR/dtau for the three-qubit tensor."""
-    out = np.empty((4, 4, 4))
-    if NUMBA_ENABLED:
-        _rhs3(np.ascontiguousarray(r), np.asarray(he, dtype=float),
-              np.asarray(hp, dtype=float), np.asarray(hn, dtype=float),
-              float(jep), float(jen), float(jpn), out)
-    else:
-        rhs_three_numpy(r, he, hp, hn, jep, jen, jpn, out)
+    """dR/dtau for a (..., 4, 4, 4) stack of tensors; r[..., 0, 0, 0] has
+    zero derivative."""
+    e = _E3
+    out = np.zeros(np.shape(r))
+    rq00 = r[..., 1:, 0, 0]
+    r0q0 = r[..., 0, 1:, 0]
+    r00q = r[..., 0, 0, 1:]
+    rqk0 = r[..., 1:, 1:, 0]
+    rq0k = r[..., 1:, 0, 1:]
+    r0qk = r[..., 0, 1:, 1:]
+    rqkl = r[..., 1:, 1:, 1:]
+    out[..., 1:, 0, 0] = (np.einsum('ilq,i,...l->...q', e, he, rq00)
+                          + np.einsum('mlq,...lm->...q', e,
+                                      jep * rqk0 + jen * rq0k))
+    out[..., 0, 1:, 0] = (np.einsum('ilq,i,...l->...q', e, hp, r0q0)
+                          + jep * np.einsum('mlq,...ml->...q', e, rqk0)
+                          + jpn * np.einsum('mlq,...lm->...q', e, r0qk))
+    out[..., 0, 0, 1:] = (np.einsum('ilq,i,...l->...q', e, hn, r00q)
+                          + np.einsum('lmq,...lm->...q', e,
+                                      jen * rq0k + jpn * r0qk))
+    out[..., 1:, 1:, 0] = (np.einsum('ilq,i,...lk->...qk', e, he, rqk0)
+                           + np.einsum('imk,i,...qm->...qk', e, hp, rqk0)
+                           + jep * np.einsum('kmq,...m->...qk', e, rq00 - r0q0)
+                           + jen * np.einsum('lmq,...mkl->...qk', e, rqkl)
+                           + jpn * np.einsum('lmk,...qml->...qk', e, rqkl))
+    out[..., 1:, 0, 1:] = (np.einsum('ilq,i,...lk->...qk', e, he, rq0k)
+                           + np.einsum('imk,i,...qm->...qk', e, hn, rq0k)
+                           + jen * np.einsum('qmk,...m->...qk', e, r00q - rq00)
+                           + jep * np.einsum('lmq,...mlk->...qk', e, rqkl)
+                           + jpn * np.einsum('lmk,...qlm->...qk', e, rqkl))
+    out[..., 0, 1:, 1:] = (np.einsum('ilq,i,...lk->...qk', e, hp, r0qk)
+                           + np.einsum('imk,i,...qm->...qk', e, hn, r0qk)
+                           + jpn * np.einsum('qmk,...m->...qk', e, r00q - r0q0)
+                           + jep * np.einsum('lmq,...lmk->...qk', e, rqkl)
+                           + jen * np.einsum('lmk,...lqm->...qk', e, rqkl))
+    out[..., 1:, 1:, 1:] = (
+        np.einsum('imq,i,...mkl->...qkl', e, he, rqkl)
+        + np.einsum('imk,i,...qml->...qkl', e, hp, rqkl)
+        + np.einsum('iml,i,...qkm->...qkl', e, hn, rqkl)
+        + jep * np.einsum('kmq,...ml->...qkl', e, rq0k - r0qk)
+        + jen * (np.einsum('qml,...km->...qkl', e, r0qk)
+                 - np.einsum('qml,...mk->...qkl', e, rqk0))
+        + jpn * np.einsum('kml,...qm->...qkl', e, rq0k - rqk0))
     return out
 
 
-def rhs_two(r, he, hp, jep):
-    """Active-path dR/dtau for the two-qubit tensor."""
-    out = np.empty((4, 4))
-    if NUMBA_ENABLED:
-        _rhs2(np.ascontiguousarray(r), np.asarray(he, dtype=float),
-              np.asarray(hp, dtype=float), float(jep), out)
-    else:
-        rhs_two_numpy(r, he, hp, jep, out)
+@functools.cache
+def generators():
+    """The twelve 64x64 generators, read-only: d/dh_e, d/dh_p, d/dh_n (x, y,
+    z each), then d/dJ_ep, d/dJ_en, d/dJ_pn.  Column w is the derivative of
+    the w-th unit tensor."""
+    units = np.eye(64).reshape(64, 4, 4, 4)
+    gens = np.stack([rhs_three(units, c[0:3], c[3:6], c[6:9], *c[9:])
+                     .reshape(64, 64).T for c in np.eye(12)])
+    gens.setflags(write=False)
+    return gens
+
+
+def generator(coeffs):
+    """A for the twelve coefficients (h_e, h_p, h_n, J_ep, J_en, J_pn)."""
+    return np.tensordot(coeffs, generators(), axes=1)
+
+
+def stack(mults, jep, jen, jpn):
+    """[M_J; F_x; F_y; F_z], shape (4, 64, 64), for qubit fields
+    mults[q] * h."""
+    gens = generators()
+    m_j = np.tensordot([jep, jen, jpn], gens[9:], axes=1)
+    f = np.tensordot(mults, gens[:9].reshape(3, 3, 64, 64), axes=1)
+    return np.concatenate([m_j[None], f])
+
+
+def pair_block(a):
+    """The (a, b, 0) rows and columns of (..., 64, 64) generators."""
+    return a[..., PAIR[:, None], PAIR]
+
+
+def linear_rhs(stack):
+    """f(c, y) = sum_j c[j] stack[j] @ y, as one (m d x d) product and an
+    m-term combination."""
+    m, d, _ = stack.shape
+    flat = stack.reshape(m * d, d)
+
+    def f(c, y):
+        return c @ (flat @ y).reshape(m, d)
+    return f
+
+
+def rk4(stack, coeffs, y0, dt, sample_every):
+    """Classical fixed-step RK4 for dy/dtau = A(tau) y with
+    A(k dt / 2) = sum_j coeffs[k, j] stack[j].
+
+    coeffs holds the coefficients on the half-step grid, shape (2 n + 1, m)
+    for n steps.  Returns y0 and every sample_every-th state, shape
+    (n // sample_every + 1, d).
+    """
+    f = linear_rhs(stack)
+    n_steps = (len(coeffs) - 1) // 2
+    out = np.empty((n_steps // sample_every + 1, len(y0)))
+    out[0] = y = y0
+    for step in range(n_steps):
+        c0, ch, c1 = coeffs[2 * step:2 * step + 3]
+        k1 = f(c0, y)
+        k2 = f(ch, y + 0.5 * dt * k1)
+        k3 = f(ch, y + 0.5 * dt * k2)
+        k4 = f(c1, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % sample_every == 0:
+            out[(step + 1) // sample_every] = y
     return out
-
-
-def rk4_three(r0, dt, n_steps, sample_every, kind, w0, w1, mults,
-              jep, jen, jpn):
-    args = (np.ascontiguousarray(r0, dtype=float), float(dt), int(n_steps),
-            int(sample_every), int(kind), float(w0), float(w1),
-            np.asarray(mults, dtype=float), float(jep), float(jen), float(jpn))
-    if NUMBA_ENABLED:
-        return _rk4_three(*args)
-    return _rk4_three_numpy(*args)
-
-
-def rk4_two(r0, dt, n_steps, sample_every, kind, w0, w1, me, mp, jep):
-    args = (np.ascontiguousarray(r0, dtype=float), float(dt), int(n_steps),
-            int(sample_every), int(kind), float(w0), float(w1),
-            float(me), float(mp), float(jep))
-    if NUMBA_ENABLED:
-        return _rk4_two(*args)
-    return _rk4_two_numpy(*args)

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config/parse error, 3 accuracy failure, 4 I/O error.
+Exit codes: 0 success, 2 config/parse error or invalid state, 3 accuracy
+failure, 4 I/O error.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .errors import AccuracyError, ConfigError
-from .harness import list_presets, parse_config, run_preset, run_scenario
+from .errors import AccuracyError, ConfigError, ValidationError
+from .harness import (list_presets, parse_config, run_preset, run_scenario,
+                      with_overrides)
 
 EXIT_PARSE = 2
 EXIT_ACCURACY = 3
@@ -47,16 +49,8 @@ def _cmd_run(args):
         for p in paths:
             print(p)
         return 0
-    cfg = parse_config(Path(args.config).read_text())
-    from dataclasses import replace
-    overrides = {}
-    if oracle is not None:
-        overrides["oracle_check"] = oracle
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.tau_max is not None:
-        overrides["tau_max"] = args.tau_max
-    cfg = replace(cfg, **overrides)
+    cfg = with_overrides(parse_config(Path(args.config).read_text()),
+                         oracle, args.dt, args.tau_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_scenario(cfg, out_dir=out_dir)
@@ -81,7 +75,7 @@ def main(argv=None):
             print("ok")
             return 0
         return _cmd_run(args)
-    except ConfigError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AccuracyError as exc:

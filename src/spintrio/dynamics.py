@@ -17,7 +17,6 @@ from .errors import AccuracyError, ValidationError
 BLOCH_DRIFT_TOL = 1e-8
 
 FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
-_KIND_CODES = {"R": 0, "NR": 1, "ConstantZ": 2}
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,33 @@ class FieldSpec:
             raise ValueError("Custom field requires a callable")
         if len(self.multipliers) != 3:
             raise ValueError("need exactly three per-qubit multipliers")
+        if not np.all(np.isfinite([self.omega0, self.omega1,
+                                   *self.multipliers])):
+            raise ValueError("omega0, omega1 and multipliers must be finite")
 
     def base(self, tau):
+        """Base field H(tau) before the per-qubit multipliers, shape
+        tau.shape + (3,).  A Custom callable is called once per tau."""
+        tau = np.asarray(tau, dtype=float)
         if self.kind == "Custom":
-            return np.asarray(self.custom(tau), dtype=float)
-        return _kernels.field_base_numpy(
-            _KIND_CODES[self.kind], self.omega0, self.omega1, tau)
+            h = [self.custom(t) for t in tau.ravel()]
+            return np.array(h, dtype=float).reshape(tau.shape + (3,))
+        w0, w1 = self.omega0, self.omega1
+        zero = np.zeros(tau.shape)
+        if self.kind == "R":
+            h = (-w1 * np.cos(tau), w1 * np.sin(tau), zero - w0)
+        elif self.kind == "NR":
+            h = (-w1 * np.cos(tau), -w1 * np.sin(tau), zero - w0)
+        else:
+            h = (zero, zero, zero + w0)
+        return np.stack(h, axis=-1)
+
+
+def _coefficients(spec, tau):
+    """[1, h_x, h_y, h_z] at tau, shape tau.shape + (4,): the weights of
+    the generator stack [M_J; F_x; F_y; F_z]."""
+    h = spec.base(tau)
+    return np.concatenate([np.ones(h.shape[:-1] + (1,)), h], axis=-1)
 
 
 def field_at(spec, tau):
@@ -120,45 +140,22 @@ def rhs_three(r, h_e, h_p, h_n, coupling):
 
 
 def rhs_two(r2, h_e, h_p, j_ep):
-    """dR/dtau of the 15-equation two-qubit reduction."""
-    return _kernels.rhs_two(r2, h_e, h_p, j_ep)
-
-
-def _bloch_lengths(states):
-    flat = states.reshape(len(states), -1)
-    return np.sqrt(np.einsum('ij,ij->i', flat, flat) - flat[:, 0] ** 2)
+    """dR/dtau of the 15-equation two-qubit reduction: the (a, b, 0) block
+    of the three-qubit generator with qubit n decoupled."""
+    a = _kernels.generator(np.concatenate([h_e, h_p, np.zeros(3),
+                                           [j_ep, 0.0, 0.0]]))
+    return (_kernels.pair_block(a) @ np.ravel(r2)).reshape(4, 4)
 
 
 def _check_drift(b, context):
+    """Raise AccuracyError unless the Bloch length stayed within tolerance;
+    NaN and inf fail."""
     drift = float(np.abs(b - b[0]).max())
-    if drift > BLOCH_DRIFT_TOL:
+    if not drift <= BLOCH_DRIFT_TOL:
         raise AccuracyError(
             f"generalized Bloch length drifted by {drift:.3e} "
             f"(tolerance {BLOCH_DRIFT_TOL:.0e}) in {context}", drift)
     return drift
-
-
-def _integrate_custom(r0, spec, coupling, dt, n_steps, sample_every):
-    """Python RK4 loop for Custom fields (kernel RHS, arbitrary h(tau))."""
-    n_samp = n_steps // sample_every + 1
-    out = np.empty((n_samp, 4, 4, 4))
-    r = r0.copy()
-    out[0] = r
-    si = 1
-    for step in range(n_steps):
-        tau = step * dt
-        f0 = field_at(spec, tau)
-        fh = field_at(spec, tau + 0.5 * dt)
-        f1 = field_at(spec, tau + dt)
-        k1 = rhs_three(r, *f0, coupling)
-        k2 = rhs_three(r + 0.5 * dt * k1, *fh, coupling)
-        k3 = rhs_three(r + 0.5 * dt * k2, *fh, coupling)
-        k4 = rhs_three(r + dt * k3, *f1, coupling)
-        r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) % sample_every == 0:
-            out[si] = r
-            si += 1
-    return out
 
 
 def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
@@ -168,35 +165,34 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
     if abs(r0[0, 0, 0] - 1.0) > 1e-12:
         raise ValidationError("initial tensor must have r[0,0,0] = 1")
     n_steps, taus = cfg.grid()
-
+    stack = _kernels.stack(spec.multipliers, coupling.j_ep, coupling.j_en,
+                           coupling.j_pn)
     if cfg.method == "RK45":
-        states = _integrate_rk45(r0, spec, coupling, taus)
-    elif spec.kind == "Custom":
-        states = _integrate_custom(r0, spec, coupling, cfg.dt, n_steps,
-                                   cfg.sample_every)
+        states = _integrate_rk45(r0.ravel(), spec, stack, taus)
     else:
-        states = _kernels.rk4_three(
-            r0, cfg.dt, n_steps, cfg.sample_every, _KIND_CODES[spec.kind],
-            spec.omega0, spec.omega1, spec.multipliers,
-            coupling.j_ep, coupling.j_en, coupling.j_pn)
-
-    b = _bloch_lengths(states)
+        states = _rk4(r0.ravel(), spec, stack, cfg, n_steps)
+    states = states.reshape(-1, 4, 4, 4)
+    b = pauli.bloch_length(states)
     _check_drift(b, "three-qubit integration")
     return TimeSeries(taus=taus, states=states, channels={"b": b})
 
 
-def _integrate_rk45(r0, spec, coupling, taus):
+def _rk4(y0, spec, stack, cfg, n_steps):
+    half_steps = np.arange(2 * n_steps + 1) * (0.5 * cfg.dt)
+    return _kernels.rk4(stack, _coefficients(spec, half_steps), y0, cfg.dt,
+                        cfg.sample_every)
+
+
+def _integrate_rk45(y0, spec, stack, taus):
     from scipy.integrate import solve_ivp
 
-    def f(tau, y):
-        return rhs_three(y.reshape(4, 4, 4), *field_at(spec, tau),
-                         coupling).ravel()
-
-    sol = solve_ivp(f, (taus[0], taus[-1]), r0.ravel(), method="RK45",
-                    t_eval=taus, rtol=1e-12, atol=1e-12)
+    f = _kernels.linear_rhs(stack)
+    sol = solve_ivp(lambda tau, y: f(_coefficients(spec, tau), y),
+                    (taus[0], taus[-1]), y0, method="RK45", t_eval=taus,
+                    rtol=1e-12, atol=1e-12)
     if not sol.success:  # pragma: no cover
         raise AccuracyError(f"RK45 failed: {sol.message}")
-    return sol.y.T.reshape(-1, 4, 4, 4)
+    return sol.y.T
 
 
 def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
@@ -205,15 +201,12 @@ def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
     if abs(r2_0[0, 0] - 1.0) > 1e-12:
         raise ValidationError("initial tensor must have r[0,0] = 1")
     n_steps, taus = cfg.grid()
-    if spec.kind == "Custom":
-        raise ValueError("Custom fields not supported for the two-qubit path")
-    states = _kernels.rk4_two(
-        r2_0, cfg.dt, n_steps, cfg.sample_every, _KIND_CODES[spec.kind],
-        spec.omega0, spec.omega1, spec.multipliers[0], spec.multipliers[1],
-        j_ep)
-    flat = states.reshape(len(states), -1)
-    b = np.sqrt(np.einsum('ij,ij->i', flat, flat) - flat[:, 0] ** 2)
-    _check_drift(b, "two-qubit integration")
+    m = spec.multipliers
+    stack = _kernels.pair_block(_kernels.stack((m[0], m[1], 0.0), j_ep,
+                                               0.0, 0.0))
+    states = _rk4(r2_0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4)
+    _check_drift(pauli.bloch_length(states, qubits=2),
+                 "two-qubit integration")
     return taus, states
 
 
@@ -265,7 +258,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3, substep_factor=10,
     for start in range(0, len(mids), chunk):
         tm = mids[start:start + chunk]
         hh = lens[start:start + chunk]
-        base = np.array([spec.base(t) for t in tm])  # (c, 3)
+        base = spec.base(tm)  # (c, 3)
         coeff = np.concatenate([m[0] * base, m[1] * base, m[2] * base], axis=1)
         ham = np.einsum('ci,iab->cab', coeff, spin_ops) + x_const
         w, v = np.linalg.eigh(ham)

@@ -9,7 +9,8 @@ class SpintrioError(Exception):
 
 
 class ValidationError(SpintrioError, ValueError):
-    """A state or tensor violates a physicality/normalization invariant."""
+    """A state or tensor violates a physicality/normalization invariant
+    (CLI exit code 2)."""
 
 
 class ConfigError(SpintrioError, ValueError):

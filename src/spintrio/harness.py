@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__, measures, pauli
 from .dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
                        integrate, oracle_deviation)
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 
 ORACLE_TOL = 1e-8
 
@@ -66,7 +66,11 @@ def _validate(cfg):
     for ch in cfg.measures:
         if ch not in measures.CHANNELS:
             raise ConfigError(f"unknown measure channel {ch!r}")
+    if cfg.initial == "Mix" and cfg.x < 1 and "c3" in cfg.measures:
+        raise ConfigError("c3 needs a pure state; Mix with x < 1 is mixed")
     try:
+        cfg.field_spec()
+        cfg.couplings()
         cfg.integrator()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -175,8 +179,7 @@ def run_scenario(cfg, out_dir=None):
     if cfg.oracle_check:
         dev = oracle_deviation(ts, rho0, spec, coupling, dt=cfg.dt)
         man.entries["oracle_max_dev"] = f"{dev:.3e}"
-        if dev > ORACLE_TOL:
-            from .errors import AccuracyError
+        if not dev <= ORACLE_TOL:
             raise AccuracyError(
                 f"oracle deviation {dev:.3e} exceeds {ORACLE_TOL:.0e} "
                 f"in scenario {cfg.name!r}", dev)
@@ -249,6 +252,13 @@ def preset_configs(name):
     raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
 
 
+def with_overrides(cfg, oracle=None, dt=None, tau_max=None):
+    """cfg with the `spintrio run` overrides applied; None keeps a field."""
+    overrides = {"oracle_check": oracle, "dt": dt, "tau_max": tau_max}
+    return replace(cfg, **{k: v for k, v in overrides.items()
+                           if v is not None})
+
+
 def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     """Run every scenario of a preset; returns the list of CSV paths written.
 
@@ -257,15 +267,8 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfgs = preset_configs(name)
-    overrides = {}
-    if oracle is not None:
-        overrides["oracle_check"] = oracle
-    if dt is not None:
-        overrides["dt"] = dt
-    if tau_max is not None:
-        overrides["tau_max"] = tau_max
-    cfgs = [replace(c, **overrides) for c in cfgs]
+    cfgs = [with_overrides(c, oracle, dt, tau_max)
+            for c in preset_configs(name)]
 
     if name == "figure3":
         results = [run_scenario(c) for c in cfgs]

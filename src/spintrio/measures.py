@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .pauli import bloch_length
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,6 @@ def flip_probability(r, qubit="n"):
     from the corresponding R_z = +1 polarization."""
     idx = {"e": (3, 0, 0), "p": (0, 3, 0), "n": (0, 0, 3)}[qubit]
     return float((1.0 - r[idx]) / 2.0)
-
-
-def bloch_length(r):
-    r = np.asarray(r, dtype=float)
-    return float(np.sqrt(np.sum(r * r) - r[0, 0, 0] ** 2))
 
 
 # Named per-sample channels for the CSV layer.

@@ -119,12 +119,17 @@ def r_to_rho(r, validate=True):
     return np.einsum('abc,abcij->ij', r, BASIS) / 8.0
 
 
-def bloch_length(r):
-    """Length of the generalized Bloch vector: sqrt(sum of r^2 over the 63
-    non-identity components).  Equals sqrt(8 Tr rho^2 - 1); conserved under
-    unitary evolution."""
+def bloch_length(r, qubits=3):
+    """Length of the generalized Bloch vector: sqrt(sum of r^2 over the
+    non-identity components).  For three qubits it equals
+    sqrt(8 Tr rho^2 - 1); conserved under unitary evolution.
+
+    r is one tensor with `qubits` axes of length 4 (returns a float) or a
+    stack of them (returns one length per leading index)."""
     r = np.asarray(r, dtype=float)
-    return float(np.sqrt(np.sum(r * r) - r[0, 0, 0] ** 2))
+    flat = r.reshape(r.shape[:r.ndim - qubits] + (-1,))
+    b = np.sqrt(np.einsum('...i,...i->...', flat, flat) - flat[..., 0] ** 2)
+    return float(b) if b.ndim == 0 else b
 
 
 def _ket(bits):

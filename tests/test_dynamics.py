@@ -132,18 +132,26 @@ class TestIntegrate:
         b = integrate(r0, FieldSpec(kind="R"), SECT5, cfg45)
         assert np.abs(a.states - b.states).max() < 1e-8
 
-    def test_custom_field_matches_builtin(self):
+    @pytest.mark.parametrize("kind, h", [
+        ("R", lambda t: (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0)),
+        ("NR", lambda t: (-0.3 * np.cos(t), -0.3 * np.sin(t), -1.0)),
+        ("ConstantZ", lambda t: (0.0, 0.0, 1.0)),
+    ], ids=["R", "NR", "ConstantZ"])
+    def test_custom_field_matches_builtin(self, kind, h):
         _, r0 = pauli.initial_state("W")
-        builtin = FieldSpec(kind="R")
-
-        def h(tau):
-            return (-0.3 * np.cos(tau), 0.3 * np.sin(tau), -1.0)
-
+        builtin = FieldSpec(kind=kind)
         custom = FieldSpec(kind="Custom", custom=h)
         cfg = IntegratorConfig(tau_max=2.0)
         a = integrate(r0, builtin, SECT5, cfg)
         b = integrate(r0, custom, SECT5, cfg)
         assert np.abs(a.states - b.states).max() < 1e-12
+
+    def test_nan_field_trips_drift_gate(self):
+        _, r0 = pauli.initial_state("GHZ")
+        spec = FieldSpec(kind="Custom",
+                         custom=lambda t: (np.nan if t > 0 else 0.0, 0.0, 1.0))
+        with pytest.raises(AccuracyError):
+            integrate(r0, spec, SECT5, IntegratorConfig(tau_max=0.1))
 
 
 class TestIntegrateTwo:
@@ -162,7 +170,7 @@ class TestIntegrateTwo:
                             for b in range(4)] for a in range(4)])
         r2_0 = np.einsum('abij,ji->ab', basis2, rho2).real
         _, states2 = integrate_two(r2_0, spec, -0.2, cfg)
-        assert np.abs(ts.states[:, :, :, 0] - states2).max() < 1e-8
+        assert np.abs(ts.states[:, :, :, 0] - states2).max() < 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):

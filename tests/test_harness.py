@@ -178,11 +178,28 @@ class TestCli:
         assert (tmp_path / "cli_run.csv").exists()
 
     def test_run_preset_with_overrides(self, tmp_path):
-        code = cli.main(["run", "--preset", "fixed-point",
-                         "--out", str(tmp_path), "--tau-max", "1",
-                         "--oracle", "off"])
-        assert code == 0
-        assert (tmp_path / "fixed_point.csv").exists()
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text("name = long\ninitial = S\n")
+        for source, name in ((["--preset", "fixed-point"], "fixed_point"),
+                             (["--config", str(cfgfile)], "long")):
+            code = cli.main(["run", *source, "--out", str(tmp_path),
+                             "--tau-max", "1", "--oracle", "off"])
+            assert code == 0
+            data = np.genfromtxt(tmp_path / f"{name}.csv", delimiter=",",
+                                 names=True)
+            assert data["tau"][-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text", [
+        "omega1 = nan", "multipliers = 1 inf 4",
+        "initial = Mix\nx = 0.9\nmeasures = c3",
+    ], ids=["omega1_nan", "multiplier_inf", "mix_c3"])
+    def test_rejected_config_exit_code(self, tmp_path, text):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"tau_max = 0.1\n{text}\n")
+        for oracle in ("off", "on"):
+            assert cli.main(["run", "--config", str(cfgfile), "--out",
+                             str(tmp_path), "--oracle", oracle]) == 2
+        assert not (tmp_path / "run.csv").exists()
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert cli.main(["run", "--preset", "nope",

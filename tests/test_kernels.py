@@ -1,11 +1,12 @@
-"""Cross-checks of the RHS kernels: numba loops vs vectorized numpy vs the
-complex commutator oracle."""
+"""Cross-checks of the RHS kernels: the einsum RHS, its generator matrices
+and the complex commutator oracle."""
 
 import numpy as np
 import pytest
 
 from spintrio import _kernels, pauli
-from spintrio.dynamics import CouplingConstants, rhs_three, rhs_two
+from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
+                               integrate, rhs_three, rhs_two)
 
 from conftest import kron3, random_density
 
@@ -65,14 +66,14 @@ class TestRhsThree:
         # precession preserves the local Bloch norm
         assert abs(np.dot(d[1:, 0, 0], r[1:, 0, 0])) < 1e-13
 
-    def test_numpy_path_equals_loops(self, rng):
+    def test_generators_reproduce_rhs(self, rng):
         for _ in range(10):
             r = pauli.rho_to_r(random_density(rng))
-            he, hp, hn = rng.normal(size=(3, 3))
-            jep, jen, jpn = rng.normal(size=3)
-            a = _kernels.rhs_three(r, he, hp, hn, jep, jen, jpn)
-            b = _kernels.rhs_three_numpy(r, he, hp, hn, jep, jen, jpn)
-            assert np.abs(a - b).max() < 1e-14
+            coeffs = rng.normal(size=12)
+            a = _kernels.generator(coeffs) @ r.ravel()
+            b = _kernels.rhs_three(r, coeffs[0:3], coeffs[3:6], coeffs[6:9],
+                                   *coeffs[9:])
+            assert np.abs(a - b.ravel()).max() < 1e-14
 
 
 class TestRhsTwo:
@@ -108,38 +109,23 @@ class TestRhsTwo:
             ref = commutator_rhs2(r2, he, hp, j_ep)
             assert np.abs(d - ref).max() < 1e-12
 
-    def test_numpy_path_equals_loops(self, rng):
-        r2 = np.zeros((4, 4))
-        r2[0, 0] = 1.0
-        r2[1:, 1:] = rng.normal(size=(3, 3)) * 0.2
-        he, hp = rng.normal(size=(2, 3))
-        a = _kernels.rhs_two(r2, he, hp, 0.7)
-        b = _kernels.rhs_two_numpy(r2, he, hp, 0.7)
-        assert np.abs(a - b).max() < 1e-14
+    def test_block_of_rhs_three(self, rng):
+        # n decoupled (j_en = j_pn = 0, h_n = 0): the (a, b, 0) block of the
+        # three-qubit RHS is closed and is the two-qubit RHS
+        for _ in range(10):
+            r = rng.normal(size=(4, 4, 4))
+            he, hp = rng.normal(size=(2, 3))
+            j_ep = rng.normal()
+            full = rhs_three(r, he, hp, np.zeros(3),
+                             CouplingConstants(j_ep, 0.0, 0.0))
+            d = rhs_two(r[:, :, 0], he, hp, j_ep)
+            assert np.abs(d - full[:, :, 0]).max() < 1e-14
 
 
 class TestDriveLoops:
-    def test_rk4_paths_agree(self):
-        _, r0 = pauli.initial_state("GHZ")
-        args = (r0, 1e-3, 1000, 10, 0, 1.0, 0.3)
-        a = _kernels._rk4_three_numpy(*args, np.array([1.0, 2.0, 4.0]),
-                                      -0.2, -0.1, -0.3)
-        b = _kernels.rk4_three(*args, (1.0, 2.0, 4.0), -0.2, -0.1, -0.3)
-        assert np.abs(a - b).max() < 1e-12
-
-    def test_rk4_two_paths_agree(self):
-        r0 = np.zeros((4, 4))
-        r0[0, 0] = 1.0
-        r0[3, 0] = r0[0, 3] = 1.0
-        r0[3, 3] = 1.0
-        args = (r0, 1e-3, 1000, 10, 1, 1.0, 0.3, 1.0, 2.0, -0.2)
-        a = _kernels._rk4_two_numpy(*args)
-        b = _kernels.rk4_two(*args)
-        assert np.abs(a - b).max() < 1e-12
-
     def test_sampling_layout(self):
         _, r0 = pauli.initial_state("W")
-        out = _kernels.rk4_three(r0, 1e-3, 100, 10, 0, 1.0, 0.3,
-                                 (1.0, 2.0, 4.0), -0.2, -0.1, -0.3)
-        assert out.shape == (11, 4, 4, 4)
-        assert np.abs(out[0] - r0).max() == 0.0
+        ts = integrate(r0, FieldSpec(kind="R"), CouplingConstants(),
+                       IntegratorConfig(tau_max=0.1, dt=1e-3, sample_every=10))
+        assert ts.states.shape == (11, 4, 4, 4)
+        assert np.abs(ts.states[0] - r0).max() == 0.0

@@ -162,10 +162,14 @@ class TestBlochLength:
         assert pauli.bloch_length(pauli.rho_to_r(np.eye(8) / 8)) < 1e-13
 
     def test_purity_relation_random(self, rng):
-        # b^2 + 1 = 8 Tr rho^2 for physical states
-        for _ in range(25):
-            rho = random_density(rng, rank=rng.integers(1, 9))
-            b = pauli.bloch_length(pauli.rho_to_r(rho))
+        # b^2 + 1 = 8 Tr rho^2 for physical states, one at a time or stacked
+        rhos = [random_density(rng, rank=rng.integers(1, 9))
+                for _ in range(25)]
+        rs = np.array([pauli.rho_to_r(rho) for rho in rhos])
+        for rho, r, b_stacked in zip(rhos, rs, pauli.bloch_length(rs)):
+            b = pauli.bloch_length(r)
+            assert isinstance(b, float)
+            assert b == pytest.approx(b_stacked, abs=1e-14)
             purity = np.trace(rho @ rho).real
             assert b ** 2 + 1 == pytest.approx(8 * purity, abs=1e-10)
 
