@@ -20,10 +20,10 @@ import functools
 
 import numpy as np
 
-_E3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _E3[_i, _j, _k] = 1.0
-    _E3[_i, _k, _j] = -1.0
+from .pauli import EPS
+
+# pauli.EPS on indices 1..3, copied: einsum is slower on the strided view.
+EPS3 = np.ascontiguousarray(EPS[1:, 1:, 1:])
 
 # Flat indices of the (a, b, 0) components of a 4x4x4 tensor.
 PAIR = np.arange(16) * 4
@@ -32,7 +32,7 @@ PAIR = np.arange(16) * 4
 def rhs_three(r, he, hp, hn, jep, jen, jpn):
     """dR/dtau for a (..., 4, 4, 4) stack of tensors; r[..., 0, 0, 0] has
     zero derivative."""
-    e = _E3
+    e = EPS3
     out = np.zeros(np.shape(r))
     rq00 = r[..., 1:, 0, 0]
     r0q0 = r[..., 0, 1:, 0]

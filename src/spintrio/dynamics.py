@@ -16,6 +16,10 @@ from .errors import AccuracyError, ValidationError
 
 BLOCH_DRIFT_TOL = 1e-8
 
+# Oracle substeps per integration step dt, and substeps diagonalized at once.
+ORACLE_SUBSTEPS = 10
+ORACLE_CHUNK = 20000
+
 FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 
 
@@ -102,8 +106,9 @@ class IntegratorConfig:
     method: str = "RK4"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.tau_max <= 0:
-            raise ValueError("dt and tau_max must be positive")
+        for v in (self.dt, self.tau_max):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError("dt and tau_max must be finite and positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.method not in ("RK4", "RK45"):
@@ -214,11 +219,10 @@ def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
 # oracle propagator (independent of the real-tensor path)
 # ---------------------------------------------------------------------------
 
-def propagate_direct(rho0, spec, coupling, taus, dt=1e-3, substep_factor=10,
-                     chunk=20000):
+def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Propagate the 8x8 density matrix directly.
 
-    Piecewise-constant stepping: each substep (length <= dt/substep_factor)
+    Piecewise-constant stepping: each substep (length <= dt/ORACLE_SUBSTEPS)
     applies the exact unitary of the Hamiltonian frozen at the substep
     midpoint, computed by Hermitian eigendecomposition.  Returns the density
     matrix at every requested tau.
@@ -227,56 +231,29 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3, substep_factor=10,
     pauli.validate_density(rho0)
     taus = np.asarray(taus, dtype=float)
     out = np.empty((len(taus), 8, 8), dtype=complex)
-    out[0] = rho0
-    if len(taus) == 1:
-        return out
+    out[0] = rho = rho0
 
-    h_max = dt / substep_factor
-    # substep midpoints and lengths for every inter-sample segment
-    mids = []
-    lens = []
-    seg_ends = []
-    total = 0
-    for a, bnd in zip(taus[:-1], taus[1:]):
-        n_sub = max(1, math.ceil((bnd - a) / h_max - 1e-12))
-        h = (bnd - a) / n_sub
-        mids.append(a + (np.arange(n_sub) + 0.5) * h)
-        lens.append(np.full(n_sub, h))
-        total += n_sub
-        seg_ends.append(total)
-    mids = np.concatenate(mids)
-    lens = np.concatenate(lens)
-
-    x_const = (coupling.j_ep * pauli.EXCHANGE_EP
-               + coupling.j_en * pauli.EXCHANGE_EN
-               + coupling.j_pn * pauli.EXCHANGE_PN)
-    spin_ops = np.concatenate([pauli.SPIN_E, pauli.SPIN_P, pauli.SPIN_N])
-    m = spec.multipliers
-
-    rho = rho0.copy()
-    seg_idx = 0
-    for start in range(0, len(mids), chunk):
-        tm = mids[start:start + chunk]
-        hh = lens[start:start + chunk]
-        base = spec.base(tm)  # (c, 3)
-        coeff = np.concatenate([m[0] * base, m[1] * base, m[2] * base], axis=1)
-        ham = np.einsum('ci,iab->cab', coeff, spin_ops) + x_const
-        w, v = np.linalg.eigh(ham)
-        phase = np.exp(-1j * w * hh[:, None])
-        u = np.einsum('cab,cb,cdb->cad', v, phase, v.conj())
-        for k in range(len(tm)):
-            rho = u[k] @ rho @ u[k].conj().T
-            while seg_idx < len(seg_ends) and start + k + 1 == seg_ends[seg_idx]:
-                out[seg_idx + 1] = rho
-                seg_idx += 1
+    h_max = dt / ORACLE_SUBSTEPS
+    for k in range(1, len(taus)):
+        gap = taus[k] - taus[k - 1]
+        n_sub = max(1, math.ceil(gap / h_max - 1e-12))
+        h = gap / n_sub
+        for start in range(0, n_sub, ORACLE_CHUNK):
+            sub = np.arange(start, min(start + ORACLE_CHUNK, n_sub))
+            ham = pauli.build_hamiltonian(
+                *field_at(spec, taus[k - 1] + (sub + 0.5) * h), coupling)
+            w, v = np.linalg.eigh(ham)
+            u = np.einsum('cab,cb,cdb->cad', v, np.exp(-1j * w * h),
+                          v.conj())
+            for uk in u:
+                rho = uk @ rho @ uk.conj().T
+        out[k] = rho
     return out
 
 
-def oracle_deviation(ts, rho0, spec, coupling, dt=1e-3, substep_factor=10):
+def oracle_deviation(ts, rho0, spec, coupling, dt=1e-3):
     """Max abs difference between the integrated R tensors and the oracle
     propagation converted to R form, over the whole trajectory."""
-    rhos = propagate_direct(rho0, spec, coupling, ts.taus, dt=dt,
-                            substep_factor=substep_factor)
-    r_oracle = np.einsum('kab,vba->kv', rhos, pauli.BASIS_FLAT).real
-    r_ode = ts.states.reshape(len(ts.states), 64)
-    return float(np.abs(r_ode - r_oracle).max())
+    rhos = propagate_direct(rho0, spec, coupling, ts.taus, dt=dt)
+    r_oracle = pauli.rho_to_r(rhos, validate=False)
+    return float(np.abs(ts.states - r_oracle).max())

@@ -52,6 +52,8 @@ class ScenarioConfig:
 
 
 def _validate(cfg):
+    if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
+        raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
     if cfg.initial not in pauli.STATE_NAMES:
         raise ConfigError(f"unknown initial state {cfg.initial!r}")
     if cfg.initial == "Mix":
@@ -176,6 +178,7 @@ def run_scenario(cfg, out_dir=None):
     man = _manifest_base(cfg)
     b = ts.channels["b"]
     man.entries["b_drift"] = f"{np.abs(b - b[0]).max():.3e}"
+    man.entries["tau_end"] = _fmt(ts.taus[-1])
     if cfg.oracle_check:
         dev = oracle_deviation(ts, rho0, spec, coupling, dt=cfg.dt)
         man.entries["oracle_max_dev"] = f"{dev:.3e}"
@@ -280,6 +283,7 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
         man = _manifest_base(cfgs[0])
         man.entries["name"] = "figure3"
         man.entries["b_drift"] = man_c.entries["b_drift"]
+        man.entries["tau_end"] = man_c.entries["tau_end"]
         man.entries["b_drift_free"] = man_f.entries["b_drift"]
         for src, tag in ((man_c, "oracle_max_dev"),
                          (man_f, "oracle_max_dev_free")):

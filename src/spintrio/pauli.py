@@ -40,11 +40,9 @@ def pauli_basis_element(alpha, beta, gamma):
     return np.kron(np.kron(SIGMA[alpha], SIGMA[beta]), SIGMA[gamma])
 
 
-# All 64 basis operators, shape (4, 4, 4, 8, 8); BASIS_FLAT groups the first
-# three axes row-major (alpha slowest), matching the CSV serialization order.
+# All 64 basis operators, shape (4, 4, 4, 8, 8).
 BASIS = np.array([[[pauli_basis_element(a, b, c)
                     for c in range(4)] for b in range(4)] for a in range(4)])
-BASIS_FLAT = BASIS.reshape(64, 8, 8)
 
 # Spin operators s^e_i, s^p_i, s^n_i (i = 1..3) and the exchange operators
 # 2 sum_i s^x_i s^y_i for the three pairs.
@@ -61,6 +59,7 @@ PSD_TOL = 1e-10
 def build_hamiltonian(h_e, h_p, h_n, coupling):
     """Hamiltonian of three exchange-coupled qubits in fields h_e, h_p, h_n.
 
+    Each field is a 3-vector or a (..., 3) stack (giving (..., 8, 8)).
     `coupling` is any object with j_ep, j_en, j_pn attributes (in units of
     the reference frequency).
     """
@@ -70,41 +69,42 @@ def build_hamiltonian(h_e, h_p, h_n, coupling):
     for v in (h_e, h_p, h_n):
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite field component")
-    H = (np.tensordot(h_e, SPIN_E, axes=1)
-         + np.tensordot(h_p, SPIN_P, axes=1)
-         + np.tensordot(h_n, SPIN_N, axes=1)
-         + coupling.j_ep * EXCHANGE_EP
-         + coupling.j_en * EXCHANGE_EN
-         + coupling.j_pn * EXCHANGE_PN)
-    return H
+    exchange = (coupling.j_ep * EXCHANGE_EP + coupling.j_en * EXCHANGE_EN
+                + coupling.j_pn * EXCHANGE_PN)
+    return (np.tensordot(h_e, SPIN_E, axes=1)
+            + np.tensordot(h_p, SPIN_P, axes=1)
+            + np.tensordot(h_n, SPIN_N, axes=1) + exchange)
 
 
-def validate_density(rho, psd_tol=PSD_TOL, strict=True):
-    """Check Hermiticity, unit trace and (within psd_tol) positivity."""
+def validate_density(rho, strict=True):
+    """Check Hermiticity, unit trace and (within PSD_TOL) positivity of one
+    8x8 density matrix or a (..., 8, 8) stack; NaN fails."""
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValidationError(f"density matrix must be 8x8, got {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > 1e-10:
+    herm = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max()
+    if not herm <= 1e-10:
         raise ValidationError(f"density matrix not Hermitian (dev {herm:.2e})")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValidationError(f"trace is {tr}, expected 1")
+    tr = np.ravel(np.trace(rho, axis1=-2, axis2=-1))
+    bad = tr[~(np.abs(tr - 1.0) <= 1e-10)]
+    if bad.size:
+        raise ValidationError(f"trace is {bad[0]}, expected 1")
     if strict:
         lo = np.linalg.eigvalsh(rho).min()
-        if lo < -psd_tol:
+        if not lo >= -PSD_TOL:
             raise ValidationError(f"negative eigenvalue {lo:.3e}")
     return rho
 
 
 def rho_to_r(rho, validate=True):
-    """Expansion coefficients r[a, b, c] = Tr(rho sigma_a x sigma_b x sigma_c)."""
+    """Expansion coefficients r[..., a, b, c] = Tr(rho sigma_a x sigma_b x
+    sigma_c) of one 8x8 density matrix or a (..., 8, 8) stack."""
     rho = np.asarray(rho, dtype=complex)
     if validate:
         validate_density(rho, strict=False)
-    traces = np.einsum('abcij,ji->abc', BASIS, rho)
+    traces = np.einsum('abcij,...ji->...abc', BASIS, rho)
     imag = np.abs(traces.imag).max()
-    if validate and imag > 1e-12:
+    if validate and not imag <= 1e-12:
         raise ValidationError(f"imaginary trace component {imag:.2e}")
     return np.ascontiguousarray(traces.real)
 

@@ -110,6 +110,16 @@ class TestRunScenario:
         mtext = (tmp_path / "short.csv.manifest.txt").read_text()
         assert "b_drift" in mtext
         assert "code_version" in mtext
+        # the manifest records the last sampled tau, as written in the CSV
+        assert f"tau_end = {lines[-1].split(',')[0]}" in mtext
+        assert float(man.entries["tau_end"]) == pytest.approx(ts.taus[-1])
+
+    def test_tau_end_records_rounded_grid(self, tmp_path):
+        cfg = ScenarioConfig(name="rounded", tau_max=0.015,
+                             measures=("b",))
+        _, man = run_scenario(cfg, out_dir=tmp_path)
+        assert man.entries["tau_max"] == 0.015
+        assert float(man.entries["tau_end"]) == pytest.approx(0.02)
 
     def test_rows_satisfy_invariants(self, tmp_path):
         cfg = ScenarioConfig(name="inv", initial="W",
@@ -192,14 +202,19 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         "omega1 = nan", "multipliers = 1 inf 4",
         "initial = Mix\nx = 0.9\nmeasures = c3",
-    ], ids=["omega1_nan", "multiplier_inf", "mix_c3"])
+        "dt = nan", "tau_max = nan", "dt = inf", "name = ../../escaped",
+    ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
+            "tau_max_nan", "dt_inf", "name_escapes_out"])
     def test_rejected_config_exit_code(self, tmp_path, text):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"tau_max = 0.1\n{text}\n")
+        # --out two levels below tmp_path, so a name that climbs out of
+        # --out would still land inside tmp_path and be seen below
+        out = tmp_path / "a" / "b"
         for oracle in ("off", "on"):
             assert cli.main(["run", "--config", str(cfgfile), "--out",
-                             str(tmp_path), "--oracle", oracle]) == 2
-        assert not (tmp_path / "run.csv").exists()
+                             str(out), "--oracle", oracle]) == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfgfile]
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert cli.main(["run", "--preset", "nope",

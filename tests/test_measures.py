@@ -100,6 +100,11 @@ class TestMeasureValues:
         # override evaluates the formula anyway
         val = measures.concurrence_c3(r_of("Mix", x=2 / 3), purity_check=False)
         assert val >= 0.0
+        # NaN fails the guard instead of passing through
+        r = r_of("GHZ").copy()
+        r[3, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="nan"):
+            measures.concurrence_c3(r)
 
     def test_m_b(self):
         assert measures.m_b(r_of("S")) == pytest.approx(0.0, abs=1e-13)
@@ -132,6 +137,14 @@ class TestMeasureValues:
         r[3, 0, 0] = r[0, 3, 0] = r[0, 0, 3] = 3.0
         with pytest.raises(ValidationError):
             measures.populations(r)
+        r = r_of("GHZ").copy()
+        r[3, 0, 0] = np.nan
+        for fn in (measures.populations, measures.m_k):
+            with pytest.raises(ValidationError, match="nan"):
+                fn(r)
+        # one bad tensor in a stack trips the guard for the whole stack
+        with pytest.raises(ValidationError, match="nan"):
+            measures.populations(np.stack([r_of("GHZ"), r]))
 
 
 class TestReducedMatrixOracles:
@@ -220,6 +233,20 @@ class TestChannels:
         assert np.allclose(out["m_b"], [1.0, 8 / 9])
         assert np.allclose(out["b"], np.sqrt(7))
         assert out["rho11"][0] == pytest.approx(0.5, abs=1e-13)
+
+    def test_stack_matches_per_tensor_calls(self, rng):
+        states = pauli.rho_to_r(np.stack([random_pure(rng)
+                                          for _ in range(20)]))
+        for name, fn in measures.CHANNELS.items():
+            stacked = measures.evaluate_channels(states, [name])[name]
+            assert stacked.shape == (len(states),)
+            singles = [fn(r) for r in states]
+            assert all(type(v) is float for v in singles), name
+            assert np.abs(stacked - singles).max() <= 1e-15, name
+        pairs = states[..., 0]  # the (e, p) reduced tensors
+        singles = [measures.m_two(r2) for r2 in pairs]
+        assert all(type(v) is float for v in singles)
+        assert np.abs(measures.m_two(pairs) - singles).max() <= 1e-15
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError):

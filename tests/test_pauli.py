@@ -34,7 +34,8 @@ class TestBasis:
 
     def test_orthogonality_all_pairs(self):
         # Tr[B_v B_w] = 8 delta_vw over all 64 x 64 pairs
-        gram = np.einsum('vij,wji->vw', pauli.BASIS_FLAT, pauli.BASIS_FLAT)
+        flat = pauli.BASIS.reshape(64, 8, 8)
+        gram = np.einsum('vij,wji->vw', flat, flat)
         assert np.abs(gram - 8 * np.eye(64)).max() < 1e-12
 
     def test_pauli_closure(self):
@@ -113,11 +114,17 @@ class TestConversion:
     def test_matches_brute_force(self, rng):
         rho = random_density(rng)
         assert np.abs(pauli.rho_to_r(rho) - brute_r(rho)).max() < 1e-12
+        # a stack converts to the stack of per-matrix tensors
+        rhos = np.stack([random_density(rng) for _ in range(5)])
+        assert np.array_equal(pauli.rho_to_r(rhos),
+                              [pauli.rho_to_r(m) for m in rhos])
 
     def test_non_hermitian_rejected(self, rng):
         bad = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         with pytest.raises(ValidationError):
             pauli.rho_to_r(bad)
+        with pytest.raises(ValidationError):
+            pauli.rho_to_r(np.stack([random_density(rng), bad]))
 
     def test_trivial_r_gives_identity(self):
         r = np.zeros((4, 4, 4))
