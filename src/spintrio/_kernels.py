@@ -107,17 +107,6 @@ def pair_block(a):
     return a[..., PAIR[:, None], PAIR]
 
 
-def linear_rhs(stack):
-    """f(c, y) = sum_j c[j] stack[j] @ y, as one (m d x d) product and an
-    m-term combination."""
-    m, d, _ = stack.shape
-    flat = stack.reshape(m * d, d)
-
-    def f(c, y):
-        return c @ (flat @ y).reshape(m, d)
-    return f
-
-
 def rk4(stack, coeffs, y0, dt, sample_every):
     """Classical fixed-step RK4 for dy/dtau = A(tau) y with
     A(k dt / 2) = sum_j coeffs[k, j] stack[j].
@@ -126,7 +115,13 @@ def rk4(stack, coeffs, y0, dt, sample_every):
     for n steps.  Returns y0 and every sample_every-th state, shape
     (n // sample_every + 1, d).
     """
-    f = linear_rhs(stack)
+    m, d, _ = stack.shape
+    flat = stack.reshape(m * d, d)
+
+    def f(c, y):
+        # sum_j c[j] stack[j] @ y as one (m d x d) product and an m-term sum
+        return c @ (flat @ y).reshape(m, d)
+
     n_steps = (len(coeffs) - 1) // 2
     out = np.empty((n_steps // sample_every + 1, len(y0)))
     out[0] = y = y0

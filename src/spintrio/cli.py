@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 from .errors import AccuracyError, ConfigError, ValidationError
-from .harness import (list_presets, parse_config, run_preset, run_scenario,
-                      with_overrides)
+from .harness import (csv_path, list_presets, parse_config, run_preset,
+                      run_scenario, with_overrides)
 
 EXIT_PARSE = 2
 EXIT_ACCURACY = 3
@@ -49,13 +49,10 @@ def _cmd_run(args):
         for p in paths:
             print(p)
         return 0
-    cfg = with_overrides(parse_config(Path(args.config).read_text()),
-                         oracle, args.dt, args.tau_max)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run_scenario(cfg, out_dir=out_dir)
-    print(out_dir / f"{cfg.name}.csv" if cfg.output_path is None
-          else cfg.output_path)
+    text = Path(args.config).read_text(encoding="utf-8")
+    cfg = with_overrides(parse_config(text), oracle, args.dt, args.tau_max)
+    run_scenario(cfg, out_dir=args.out)
+    print(csv_path(args.out, cfg.name))
     return 0
 
 
@@ -71,11 +68,12 @@ def main(argv=None):
                 print(f"{name:12s} {desc}")
             return 0
         if args.command == "validate":
-            parse_config(Path(args.config).read_text())
+            parse_config(Path(args.config).read_text(encoding="utf-8"))
             print("ok")
             return 0
         return _cmd_run(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, UnicodeDecodeError) as exc:
+        # a config file that is not UTF-8 is a config error, not an I/O one
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except AccuracyError as exc:

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels, pauli
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError
 
 BLOCH_DRIFT_TOL = 1e-8
 
@@ -84,13 +84,6 @@ class FieldSpec:
         return np.stack(h, axis=-1)
 
 
-def _coefficients(spec, tau):
-    """[1, h_x, h_y, h_z] at tau, shape tau.shape + (4,): the weights of
-    the generator stack [M_J; F_x; F_y; F_z]."""
-    h = spec.base(tau)
-    return np.concatenate([np.ones(h.shape[:-1] + (1,)), h], axis=-1)
-
-
 def field_at(spec, tau):
     """Fields (h_e, h_p, h_n) seen by the three qubits at time tau."""
     h = spec.base(tau)
@@ -103,7 +96,6 @@ class IntegratorConfig:
     tau_max: float = 30.0
     dt: float = 1e-3
     sample_every: int = 10
-    method: str = "RK4"
 
     def __post_init__(self):
         for v in (self.dt, self.tau_max):
@@ -111,14 +103,15 @@ class IntegratorConfig:
                 raise ValueError("dt and tau_max must be finite and positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.method not in ("RK4", "RK45"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if round(self.tau_max / (self.dt * self.sample_every)) < 1:
+            raise ValueError("tau_max rounds to zero sample intervals of "
+                             "dt * sample_every")
 
     def grid(self):
         """(n_steps, sampled tau grid); tau_max is rounded to a whole number
         of sample intervals."""
         stride = self.dt * self.sample_every
-        n_samp = max(1, round(self.tau_max / stride))
+        n_samp = round(self.tau_max / stride)
         taus = np.arange(n_samp + 1) * stride
         return n_samp * self.sample_every, taus
 
@@ -166,45 +159,27 @@ def _check_drift(b, context):
 def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
     """Integrate the 63-equation system; returns a TimeSeries with a 'b'
     channel.  Raises AccuracyError if the Bloch length drifts beyond 1e-8."""
-    r0 = np.asarray(r0, dtype=float)
-    if abs(r0[0, 0, 0] - 1.0) > 1e-12:
-        raise ValidationError("initial tensor must have r[0,0,0] = 1")
+    r0 = pauli.check_normalized(r0)
     n_steps, taus = cfg.grid()
     stack = _kernels.stack(spec.multipliers, coupling.j_ep, coupling.j_en,
                            coupling.j_pn)
-    if cfg.method == "RK45":
-        states = _integrate_rk45(r0.ravel(), spec, stack, taus)
-    else:
-        states = _rk4(r0.ravel(), spec, stack, cfg, n_steps)
-    states = states.reshape(-1, 4, 4, 4)
+    states = _rk4(r0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4, 4)
     b = pauli.bloch_length(states)
     _check_drift(b, "three-qubit integration")
     return TimeSeries(taus=taus, states=states, channels={"b": b})
 
 
 def _rk4(y0, spec, stack, cfg, n_steps):
-    half_steps = np.arange(2 * n_steps + 1) * (0.5 * cfg.dt)
-    return _kernels.rk4(stack, _coefficients(spec, half_steps), y0, cfg.dt,
-                        cfg.sample_every)
-
-
-def _integrate_rk45(y0, spec, stack, taus):
-    from scipy.integrate import solve_ivp
-
-    f = _kernels.linear_rhs(stack)
-    sol = solve_ivp(lambda tau, y: f(_coefficients(spec, tau), y),
-                    (taus[0], taus[-1]), y0, method="RK45", t_eval=taus,
-                    rtol=1e-12, atol=1e-12)
-    if not sol.success:  # pragma: no cover
-        raise AccuracyError(f"RK45 failed: {sol.message}")
-    return sol.y.T
+    """RK4 over stack = [M_J; F_x; F_y; F_z] with the weights [1, h_x, h_y,
+    h_z] of the base field on the half-step grid."""
+    h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * cfg.dt))
+    coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
+    return _kernels.rk4(stack, coeffs, y0, cfg.dt, cfg.sample_every)
 
 
 def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
     """Integrate the two-qubit reduction for the (e, p) pair."""
-    r2_0 = np.asarray(r2_0, dtype=float)
-    if abs(r2_0[0, 0] - 1.0) > 1e-12:
-        raise ValidationError("initial tensor must have r[0,0] = 1")
+    r2_0 = pauli.check_normalized(r2_0)
     n_steps, taus = cfg.grid()
     m = spec.multipliers
     stack = _kernels.pair_block(_kernels.stack((m[0], m[1], 0.0), j_ep,

@@ -9,6 +9,7 @@ per-qubit field multipliers (1, 2, 4), tau_max = 30.
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -31,13 +32,12 @@ class ScenarioConfig:
     j_ep: float = -0.2
     j_en: float = -0.1
     j_pn: float = -0.3
-    multipliers: tuple = (1.0, 2.0, 4.0)
+    multipliers: tuple[float, ...] = (1.0, 2.0, 4.0)
     tau_max: float = 30.0
     dt: float = 1e-3
     sample_every: int = 10
-    measures: tuple = ("m_sm",)
+    measures: tuple[str, ...] = ("m_sm",)
     oracle_check: bool = False
-    output_path: str = None
 
     def field_spec(self):
         return FieldSpec(kind=self.field_kind, omega0=self.omega0,
@@ -52,7 +52,8 @@ class ScenarioConfig:
 
 
 def _validate(cfg):
-    if cfg.name in (".", "..") or Path(cfg.name).name != cfg.name:
+    if (cfg.name in ("", ".", "..") or "\0" in cfg.name
+            or Path(cfg.name).name != cfg.name):
         raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
     if cfg.initial not in pauli.STATE_NAMES:
         raise ConfigError(f"unknown initial state {cfg.initial!r}")
@@ -70,11 +71,12 @@ def _validate(cfg):
             raise ConfigError(f"unknown measure channel {ch!r}")
     if cfg.initial == "Mix" and cfg.x < 1 and "c3" in cfg.measures:
         raise ConfigError("c3 needs a pure state; Mix with x < 1 is mixed")
+    # OverflowError: a sample_every too large to convert to a float
     try:
         cfg.field_spec()
         cfg.couplings()
         cfg.integrator()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg
 
@@ -83,33 +85,18 @@ _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
                "off": False, "false": False, "no": False, "0": False}
 
 
-def _parse_value(key, raw, lineno):
-    try:
-        if key in ("initial", "field_kind", "name", "output_path"):
-            return raw
-        if key in ("omega0", "omega1", "j_ep", "j_en", "j_pn",
-                   "tau_max", "dt", "x"):
-            return float(raw)
-        if key == "sample_every":
-            return int(raw)
-        if key == "multipliers":
-            vals = tuple(float(v) for v in raw.replace(",", " ").split())
-            if len(vals) != 3:
-                raise ValueError("need 3 values")
-            return vals
-        if key == "measures":
-            return tuple(v for v in raw.replace(",", " ").split())
-        if key == "oracle_check":
-            return _BOOL_WORDS[raw.strip().lower()]
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: "
-                          f"{raw!r} ({exc})") from None
-    raise ConfigError(f"line {lineno}: unknown key {key!r}")
+def _parse_value(kind, raw):
+    """raw as the declared type of a ScenarioConfig field."""
+    if kind is bool:
+        return _BOOL_WORDS[raw.lower()]
+    if get_origin(kind) is tuple:
+        return tuple(map(get_args(kind)[0], raw.replace(",", " ").split()))
+    return kind(raw)
 
 
 def parse_config(source):
     """Parse a flat `key = value` document into a validated ScenarioConfig."""
-    known = {f.name for f in fields(ScenarioConfig)}
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
     kv = {}
     for lineno, line in enumerate(str(source).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -119,9 +106,13 @@ def parse_config(source):
             raise ConfigError(f"line {lineno}: expected 'key = value', "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kv[key] = _parse_value(key, raw, lineno)
+        try:
+            kv[key] = _parse_value(kinds[key], raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: "
+                              f"{raw!r} ({exc})") from None
     return _validate(ScenarioConfig(**kv))
 
 
@@ -148,22 +139,25 @@ def write_csv(path, taus, channels):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _manifest_base(cfg):
-    man = RunManifest()
-    for f in fields(ScenarioConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        man.entries[f.name] = v
-    man.entries["code_version"] = __version__
-    return man
+def csv_path(out_dir, name):
+    """Where a run named `name` writes its CSV; the manifest goes next to it
+    with `.manifest.txt` appended."""
+    return Path(out_dir) / f"{name}.csv"
+
+
+def _write(out_dir, name, taus, channels, man):
+    path = csv_path(out_dir, name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(path, taus, channels)
+    man.write(f"{path}.manifest.txt")
+    return path
 
 
 def run_scenario(cfg, out_dir=None):
     """Integrate one scenario, evaluate its channels, write CSV + manifest.
 
-    Returns (TimeSeries, RunManifest).  CSV goes to cfg.output_path, or to
-    out_dir/<name>.csv when out_dir is given; no file is written otherwise.
+    Returns (TimeSeries, RunManifest).  The CSV goes to csv_path(out_dir,
+    cfg.name) when out_dir is given; no file is written otherwise.
     """
     _validate(cfg)
     start = time.perf_counter()
@@ -175,7 +169,13 @@ def run_scenario(cfg, out_dir=None):
     chans = measures.evaluate_channels(ts.states, cfg.measures)
     ts.channels.update(chans)
 
-    man = _manifest_base(cfg)
+    man = RunManifest()
+    for f in fields(ScenarioConfig):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(str(x) for x in v)
+        man.entries[f.name] = v
+    man.entries["code_version"] = __version__
     b = ts.channels["b"]
     man.entries["b_drift"] = f"{np.abs(b - b[0]).max():.3e}"
     man.entries["tau_end"] = _fmt(ts.taus[-1])
@@ -188,15 +188,10 @@ def run_scenario(cfg, out_dir=None):
                 f"in scenario {cfg.name!r}", dev)
     man.entries["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
 
-    path = cfg.output_path
-    if path is None and out_dir is not None:
-        path = str(Path(out_dir) / f"{cfg.name}.csv")
-    if path is not None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         csv_chans = {n: chans[n] for n in cfg.measures}
         csv_chans.setdefault("b", b)
-        write_csv(path, ts.taus, csv_chans)
-        man.write(str(path) + ".manifest.txt")
+        _write(out_dir, cfg.name, ts.taus, csv_chans, man)
     return ts, man
 
 
@@ -208,51 +203,50 @@ _FIG1_STATES = [("S", None), ("BS", None), ("GHZ", None), ("W", None),
                 ("Mix", 2 / 3)]
 _FIG2_PAIRS = [("S", "m_l"), ("BS", "c3"), ("GHZ", "m_k"), ("W", "m_b")]
 
+# preset name -> (one-line description, the ScenarioConfigs it runs)
 PRESETS = {
-    "figure1": "triple-cumulant measure m_sm for S/BS/GHZ/W/Mix(2/3), "
-               "R and NR fields (10 runs)",
-    "figure2": "m_l(S), c3(BS), m_k(GHZ), m_b(W), R and NR fields (8 runs)",
-    "figure3": "spin-flip probability of qubit n, coupled vs free "
-               "(fluctuator beats), R field",
-    "rabi-check": "single decoupled qubit e in the resonant field "
-                  "(analytic sin^2 check)",
-    "fixed-point": "constant longitudinal field, polarized product state "
-                   "(stationary density matrix)",
+    "figure1": (
+        "triple-cumulant measure m_sm for S/BS/GHZ/W/Mix(2/3), "
+        "R and NR fields (10 runs)",
+        [ScenarioConfig(name=f"figure1_{st}_{fk}", initial=st, x=x,
+                        field_kind=fk, measures=("m_sm",))
+         for st, x in _FIG1_STATES for fk in ("R", "NR")]),
+    "figure2": (
+        "m_l(S), c3(BS), m_k(GHZ), m_b(W), R and NR fields (8 runs)",
+        [ScenarioConfig(name=f"figure2_{st}_{fk}", initial=st,
+                        field_kind=fk, measures=(ch,))
+         for st, ch in _FIG2_PAIRS for fk in ("R", "NR")]),
+    "figure3": (
+        "spin-flip probability of qubit n, coupled vs free "
+        "(fluctuator beats), R field",
+        [ScenarioConfig(name="figure3_coupled", initial="Up",
+                        measures=("p_flip",)),
+         ScenarioConfig(name="figure3_free", initial="Up", j_en=0.0,
+                        j_pn=0.0, measures=("p_flip",))]),
+    "rabi-check": (
+        "single decoupled qubit e in the resonant field "
+        "(analytic sin^2 check)",
+        [ScenarioConfig(name="rabi_check", initial="Up",
+                        multipliers=(1.0, 0.0, 0.0), j_ep=0.0, j_en=0.0,
+                        j_pn=0.0, measures=("p_flip_e",))]),
+    "fixed-point": (
+        "constant longitudinal field, polarized product state "
+        "(stationary density matrix)",
+        [ScenarioConfig(name="fixed_point", initial="Up",
+                        field_kind="ConstantZ", measures=("rho11", "rho88"))]),
 }
 
 
 def list_presets():
     """Preset names with one-line descriptions."""
-    return dict(PRESETS)
+    return {name: desc for name, (desc, _) in PRESETS.items()}
 
 
 def preset_configs(name):
     """The list of ScenarioConfigs a preset comprises."""
-    if name == "figure1":
-        return [ScenarioConfig(name=f"figure1_{st}_{fk}", initial=st, x=x,
-                               field_kind=fk, measures=("m_sm",))
-                for st, x in _FIG1_STATES for fk in ("R", "NR")]
-    if name == "figure2":
-        return [ScenarioConfig(name=f"figure2_{st}_{fk}", initial=st,
-                               field_kind=fk, measures=(ch,))
-                for st, ch in _FIG2_PAIRS for fk in ("R", "NR")]
-    if name == "figure3":
-        return [
-            ScenarioConfig(name="figure3_coupled", initial="Up",
-                           field_kind="R", measures=("p_flip",)),
-            ScenarioConfig(name="figure3_free", initial="Up", field_kind="R",
-                           j_en=0.0, j_pn=0.0, measures=("p_flip",)),
-        ]
-    if name == "rabi-check":
-        return [ScenarioConfig(name="rabi_check", initial="Up",
-                               field_kind="R", multipliers=(1.0, 0.0, 0.0),
-                               j_ep=0.0, j_en=0.0, j_pn=0.0,
-                               measures=("p_flip_e",))]
-    if name == "fixed-point":
-        return [ScenarioConfig(name="fixed_point", initial="Up",
-                               field_kind="ConstantZ",
-                               measures=("rho11", "rho88"))]
-    raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    return list(PRESETS[name][1])
 
 
 def with_overrides(cfg, oracle=None, dt=None, tau_max=None):
@@ -266,35 +260,22 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     """Run every scenario of a preset; returns the list of CSV paths written.
 
     figure3 merges its two runs into one CSV with channels p_flip_coupled
-    and p_flip_free.
+    and p_flip_free; its manifest is the coupled run's, plus each entry of
+    the free run that differs, suffixed `_free`, and the wall time of both.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfgs = [with_overrides(c, oracle, dt, tau_max)
             for c in preset_configs(name)]
+    if name != "figure3":
+        for c in cfgs:
+            run_scenario(c, out_dir)
+        return [csv_path(out_dir, c.name) for c in cfgs]
 
-    if name == "figure3":
-        results = [run_scenario(c) for c in cfgs]
-        (ts_c, man_c), (ts_f, man_f) = results
-        path = out_dir / "figure3.csv"
-        write_csv(path, ts_c.taus,
-                  {"p_flip_coupled": ts_c.channels["p_flip"],
-                   "p_flip_free": ts_f.channels["p_flip"]})
-        man = _manifest_base(cfgs[0])
-        man.entries["name"] = "figure3"
-        man.entries["b_drift"] = man_c.entries["b_drift"]
-        man.entries["tau_end"] = man_c.entries["tau_end"]
-        man.entries["b_drift_free"] = man_f.entries["b_drift"]
-        for src, tag in ((man_c, "oracle_max_dev"),
-                         (man_f, "oracle_max_dev_free")):
-            if "oracle_max_dev" in src.entries:
-                man.entries[tag] = src.entries["oracle_max_dev"]
-        man.entries["wall_time_s"] = man_c.entries["wall_time_s"]
-        man.write(str(path) + ".manifest.txt")
-        return [path]
-
-    paths = []
-    for c in cfgs:
-        run_scenario(c, out_dir=out_dir)
-        paths.append(out_dir / f"{c.name}.csv")
-    return paths
+    (ts_c, man_c), (ts_f, man_f) = (run_scenario(c) for c in cfgs)
+    wall = sum(float(m.entries.pop("wall_time_s")) for m in (man_c, man_f))
+    entries = dict(man_c.entries, name=name)
+    entries.update({f"{k}_free": v for k, v in man_f.entries.items()
+                    if v != man_c.entries[k]})
+    entries["wall_time_s"] = f"{wall:.3f}"
+    chans = {"p_flip_coupled": ts_c.channels["p_flip"],
+             "p_flip_free": ts_f.channels["p_flip"]}
+    return [_write(out_dir, name, ts_c.taus, chans, RunManifest(entries))]

@@ -1,9 +1,14 @@
 """Config parsing, presets, CSV/manifest output, and the CLI."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from spintrio import cli
+from spintrio import cli, measures, pauli
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
                               preset_configs, run_preset, run_scenario)
@@ -153,7 +158,12 @@ class TestRunPreset:
         (path,) = run_preset("figure3", tmp_path, tau_max=2.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "tau,p_flip_coupled,p_flip_free"
-        assert (tmp_path / "figure3.csv.manifest.txt").exists()
+        mtext = (tmp_path / "figure3.csv.manifest.txt").read_text()
+        entries = dict(line.split(" = ", 1) for line in mtext.splitlines())
+        # the coupled run's manifest plus what differs in the free run
+        assert entries["name"] == "figure3" and entries["j_en"] == "-0.1"
+        assert entries["j_en_free"] == entries["j_pn_free"] == "0.0"
+        assert "b_drift_free" in entries
 
     def test_rabi_preset(self, tmp_path):
         (path,) = run_preset("rabi-check", tmp_path, tau_max=2.0)
@@ -203,14 +213,24 @@ class TestCli:
         "omega1 = nan", "multipliers = 1 inf 4",
         "initial = Mix\nx = 0.9\nmeasures = c3",
         "dt = nan", "tau_max = nan", "dt = inf", "name = ../../escaped",
+        "tau_max = 0.05\nsample_every = 100000", "name = a\0b", "name =",
+        "name = \xff", "output_path = ../../escaped.csv",
+        "sample_every = 1" + "0" * 400,
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
-            "tau_max_nan", "dt_inf", "name_escapes_out"])
-    def test_rejected_config_exit_code(self, tmp_path, text):
+            "tau_max_nan", "dt_inf", "name_escapes_out",
+            "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
+            "output_path_escapes_out", "sample_every_past_float"])
+    def test_rejected_config_exit_code(self, tmp_path, monkeypatch, text):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(f"tau_max = 0.1\n{text}\n")
-        # --out two levels below tmp_path, so a name that climbs out of
-        # --out would still land inside tmp_path and be seen below
+        # latin-1 writes each case as its own bytes: all ASCII except the
+        # 0xff of not_utf8, which is no valid UTF-8
+        cfgfile.write_bytes(f"tau_max = 0.1\n{text}\n".encode("latin-1"))
+        # --out and the working directory two levels below tmp_path, so a
+        # path that climbs out of either would still land inside tmp_path
+        # and be seen below
         out = tmp_path / "a" / "b"
+        out.mkdir(parents=True)
+        monkeypatch.chdir(out)
         for oracle in ("off", "on"):
             assert cli.main(["run", "--config", str(cfgfile), "--out",
                              str(out), "--oracle", oracle]) == 2
@@ -226,3 +246,73 @@ class TestCli:
 
     def test_bad_arguments(self):
         assert cli.main(["run"]) == 2
+
+
+# Config documents are built key by key from well-typed values (which may
+# still be out of range or inconsistent), then at most one key is given a
+# bad value: NaN, inf, a negative number, zero, a word, NUL or an int too
+# large for a float.  Unknown keys are among the keys.
+_BAD = hst.sampled_from(["nan", "inf", "-inf", "-1", "0", "soon", "",
+                         "1\0", "1" + "0" * 400])
+
+
+def _floats(lo, hi):
+    return hst.floats(lo, hi).map(repr)
+
+
+_VALUES = {
+    "name": hst.one_of(hst.just("run"), hst.text("ab_-. /\0", max_size=6)),
+    "initial": hst.sampled_from(pauli.STATE_NAMES),
+    "field_kind": hst.sampled_from(["R", "NR", "ConstantZ", "Custom"]),
+    "omega0": _floats(-2, 2),
+    "omega1": _floats(-2, 2),
+    "j_ep": _floats(-1, 1),
+    "j_en": _floats(-1, 1),
+    "j_pn": _floats(-1, 1),
+    "multipliers": hst.lists(_floats(-4, 4), min_size=3, max_size=3)
+                      .map(", ".join),
+    "dt": _floats(1e-3, 0.01),
+    "sample_every": hst.integers(1, 10).map(str),
+    "measures": hst.lists(hst.sampled_from([*measures.CHANNELS, "entropy"]),
+                          max_size=3).map(", ".join),
+    "oracle_check": hst.sampled_from(["on", "off", "true", "no"]),
+}
+
+
+@hst.composite
+def _documents(draw):
+    """{key: value text}: tau_max (at most 0.05) always, each key of _VALUES
+    maybe, x mostly with initial = Mix only, then at most one bad value."""
+    doc = draw(hst.fixed_dictionaries({"tau_max": _floats(1e-4, 0.05)},
+                                      optional=_VALUES))
+    if doc.get("initial") == "Mix" or draw(hst.integers(0, 9)) == 0:
+        doc["x"] = draw(_floats(0.2, 1.0))
+    keys = hst.sampled_from([*doc, *_VALUES, "x", "volume", "method"])
+    doc.update(draw(hst.dictionaries(keys, _BAD, max_size=1)))
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_documents())
+def test_every_config_document_ends_in_a_documented_exit(doc):
+    """exit 0 with a finite CSV of tau, the measures and b that ends within
+    half a sample interval of tau_max, or exit 2, 3 or 4.
+
+    dt is at least 1e-3, so a valid document runs at most 50 steps."""
+    text = "".join(f"{k} = {v}\n" for k, v in doc.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = Path(tmp) / "run.cfg"
+        cfgfile.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
+        if code != 0:
+            assert code in (2, 3, 4)
+            return
+        cfg = parse_config(text)
+        lines = (out / f"{cfg.name}.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["tau", *dict.fromkeys(
+            cfg.measures + ("b",))]
+        data = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert len(data) >= 2 and np.all(np.isfinite(data))
+        stride = cfg.dt * cfg.sample_every
+        assert abs(data[-1, 0] - cfg.tau_max) <= stride / 2 + 1e-12

@@ -150,9 +150,10 @@ class TestConversion:
 
     def test_unnormalized_rejected(self):
         r = np.zeros((4, 4, 4))
-        r[0, 0, 0] = 0.5
-        with pytest.raises(ValidationError):
-            pauli.r_to_rho(r)
+        for r000 in (0.5, np.nan):
+            r[0, 0, 0] = r000
+            with pytest.raises(ValidationError):
+                pauli.r_to_rho(r)
 
 
 class TestBlochLength:
