@@ -20,6 +20,10 @@ BLOCH_DRIFT_TOL = 1e-8
 ORACLE_SUBSTEPS = 10
 ORACLE_CHUNK = 20000
 
+# Most RK4 steps of one trajectory: 33x the default run, 512 MB of samples
+# at sample_every = 1.
+MAX_STEPS = 10 ** 6
+
 FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 
 
@@ -103,9 +107,13 @@ class IntegratorConfig:
                 raise ValueError("dt and tau_max must be finite and positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if round(self.tau_max / (self.dt * self.sample_every)) < 1:
+        n_samp = round(self.tau_max / (self.dt * self.sample_every))
+        if n_samp < 1:
             raise ValueError("tau_max rounds to zero sample intervals of "
                              "dt * sample_every")
+        if n_samp * self.sample_every > MAX_STEPS:
+            raise ValueError(f"tau_max / dt asks for more than {MAX_STEPS} "
+                             "RK4 steps")
 
     def grid(self):
         """(n_steps, sampled tau grid); tau_max is rounded to a whole number
@@ -145,15 +153,17 @@ def rhs_two(r2, h_e, h_p, j_ep):
     return (_kernels.pair_block(a) @ np.ravel(r2)).reshape(4, 4)
 
 
-def _check_drift(b, context):
-    """Raise AccuracyError unless the Bloch length stayed within tolerance;
-    NaN and inf fail."""
-    drift = float(np.abs(b - b[0]).max())
-    if not drift <= BLOCH_DRIFT_TOL:
+def _check_drift(b, taus, context):
+    """Raise AccuracyError, naming the first sampled tau outside tolerance,
+    unless the Bloch length stayed within it; NaN and inf fail."""
+    dev = np.abs(b - b[0])
+    outside = ~(dev <= BLOCH_DRIFT_TOL)
+    if outside.any():
+        drift = float(dev.max())
         raise AccuracyError(
             f"generalized Bloch length drifted by {drift:.3e} "
-            f"(tolerance {BLOCH_DRIFT_TOL:.0e}) in {context}", drift)
-    return drift
+            f"(tolerance {BLOCH_DRIFT_TOL:.0e}) in {context}, first at "
+            f"tau = {taus[outside.argmax()]:.6g}", drift)
 
 
 def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
@@ -165,7 +175,7 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
                            coupling.j_pn)
     states = _rk4(r0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4, 4)
     b = pauli.bloch_length(states)
-    _check_drift(b, "three-qubit integration")
+    _check_drift(b, taus, "three-qubit integration")
     return TimeSeries(taus=taus, states=states, channels={"b": b})
 
 
@@ -185,7 +195,7 @@ def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
     stack = _kernels.pair_block(_kernels.stack((m[0], m[1], 0.0), j_ep,
                                                0.0, 0.0))
     states = _rk4(r2_0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4)
-    _check_drift(pauli.bloch_length(states, qubits=2),
+    _check_drift(pauli.bloch_length(states, qubits=2), taus,
                  "two-qubit integration")
     return taus, states
 

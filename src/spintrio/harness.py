@@ -7,7 +7,7 @@ per-qubit field multipliers (1, 2, 4), tau_max = 30.
 """
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -39,46 +39,32 @@ class ScenarioConfig:
     measures: tuple[str, ...] = ("m_sm",)
     oracle_check: bool = False
 
-    def field_spec(self):
-        return FieldSpec(kind=self.field_kind, omega0=self.omega0,
-                         omega1=self.omega1, multipliers=self.multipliers)
 
-    def couplings(self):
-        return CouplingConstants(self.j_ep, self.j_en, self.j_pn)
+def _build(cfg):
+    """(rho0, r0, FieldSpec, CouplingConstants, IntegratorConfig) of a run.
 
-    def integrator(self):
-        return IntegratorConfig(tau_max=self.tau_max, dt=self.dt,
-                                sample_every=self.sample_every)
-
-
-def _validate(cfg):
+    The constructors check their own arguments; any ValueError of theirs,
+    or an OverflowError (a sample_every too large for a float), becomes a
+    ConfigError.
+    """
     if (cfg.name in ("", ".", "..") or "\0" in cfg.name
             or Path(cfg.name).name != cfg.name):
         raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
-    if cfg.initial not in pauli.STATE_NAMES:
-        raise ConfigError(f"unknown initial state {cfg.initial!r}")
-    if cfg.initial == "Mix":
-        if cfg.x is None:
-            raise ConfigError("Mix initial state requires x")
-        if not 1 / 3 < cfg.x <= 1:
-            raise ConfigError(f"x must be in (1/3, 1], got {cfg.x}")
-    elif cfg.x is not None:
-        raise ConfigError("x only applies to the Mix initial state")
-    if cfg.field_kind not in ("R", "NR", "ConstantZ"):
-        raise ConfigError(f"unknown field_kind {cfg.field_kind!r}")
     for ch in cfg.measures:
         if ch not in measures.CHANNELS:
             raise ConfigError(f"unknown measure channel {ch!r}")
-    if cfg.initial == "Mix" and cfg.x < 1 and "c3" in cfg.measures:
-        raise ConfigError("c3 needs a pure state; Mix with x < 1 is mixed")
-    # OverflowError: a sample_every too large to convert to a float
     try:
-        cfg.field_spec()
-        cfg.couplings()
-        cfg.integrator()
+        rho0, r0 = pauli.initial_state(cfg.initial, cfg.x)
+        spec = FieldSpec(kind=cfg.field_kind, omega0=cfg.omega0,
+                         omega1=cfg.omega1, multipliers=cfg.multipliers)
+        coupling = CouplingConstants(cfg.j_ep, cfg.j_en, cfg.j_pn)
+        integ = IntegratorConfig(tau_max=cfg.tau_max, dt=cfg.dt,
+                                 sample_every=cfg.sample_every)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
+    if cfg.initial == "Mix" and cfg.x < 1 and "c3" in cfg.measures:
+        raise ConfigError("c3 needs a pure state; Mix with x < 1 is mixed")
+    return rho0, r0, spec, coupling, integ
 
 
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
@@ -113,17 +99,9 @@ def parse_config(source):
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: "
                               f"{raw!r} ({exc})") from None
-    return _validate(ScenarioConfig(**kv))
-
-
-@dataclass
-class RunManifest:
-    """Flat record written alongside every CSV."""
-    entries: dict = field(default_factory=dict)
-
-    def write(self, path):
-        lines = [f"{k} = {v}" for k, v in self.entries.items()]
-        Path(path).write_text("\n".join(lines) + "\n")
+    cfg = ScenarioConfig(**kv)
+    _build(cfg)
+    return cfg
 
 
 def _fmt(v):
@@ -149,44 +127,41 @@ def _write(out_dir, name, taus, channels, man):
     path = csv_path(out_dir, name)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, taus, channels)
-    man.write(f"{path}.manifest.txt")
+    Path(f"{path}.manifest.txt").write_text(
+        "".join(f"{k} = {v}\n" for k, v in man.items()))
     return path
 
 
 def run_scenario(cfg, out_dir=None):
     """Integrate one scenario, evaluate its channels, write CSV + manifest.
 
-    Returns (TimeSeries, RunManifest).  The CSV goes to csv_path(out_dir,
-    cfg.name) when out_dir is given; no file is written otherwise.
+    Returns (TimeSeries, manifest): the manifest is a flat dict, written
+    as `key = value` lines.  The CSV goes to csv_path(out_dir, cfg.name)
+    when out_dir is given; no file is written otherwise.
     """
-    _validate(cfg)
     start = time.perf_counter()
-    rho0, r0 = pauli.initial_state(cfg.initial, cfg.x)
-    spec = cfg.field_spec()
-    coupling = cfg.couplings()
-    ts = integrate(r0, spec, coupling, cfg.integrator())
+    rho0, r0, spec, coupling, integ = _build(cfg)
+    ts = integrate(r0, spec, coupling, integ)
 
     chans = measures.evaluate_channels(ts.states, cfg.measures)
     ts.channels.update(chans)
 
-    man = RunManifest()
-    for f in fields(ScenarioConfig):
+    man = {}
+    for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        man.entries[f.name] = v
-    man.entries["code_version"] = __version__
+        man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
     b = ts.channels["b"]
-    man.entries["b_drift"] = f"{np.abs(b - b[0]).max():.3e}"
-    man.entries["tau_end"] = _fmt(ts.taus[-1])
+    man.update(code_version=__version__,
+               b_drift=f"{np.abs(b - b[0]).max():.3e}",
+               tau_end=_fmt(ts.taus[-1]))
     if cfg.oracle_check:
         dev = oracle_deviation(ts, rho0, spec, coupling, dt=cfg.dt)
-        man.entries["oracle_max_dev"] = f"{dev:.3e}"
+        man["oracle_max_dev"] = f"{dev:.3e}"
         if not dev <= ORACLE_TOL:
             raise AccuracyError(
                 f"oracle deviation {dev:.3e} exceeds {ORACLE_TOL:.0e} "
                 f"in scenario {cfg.name!r}", dev)
-    man.entries["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
+    man["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
 
     if out_dir is not None:
         csv_chans = {n: chans[n] for n in cfg.measures}
@@ -271,11 +246,10 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
         return [csv_path(out_dir, c.name) for c in cfgs]
 
     (ts_c, man_c), (ts_f, man_f) = (run_scenario(c) for c in cfgs)
-    wall = sum(float(m.entries.pop("wall_time_s")) for m in (man_c, man_f))
-    entries = dict(man_c.entries, name=name)
-    entries.update({f"{k}_free": v for k, v in man_f.entries.items()
-                    if v != man_c.entries[k]})
-    entries["wall_time_s"] = f"{wall:.3f}"
+    wall = sum(float(m.pop("wall_time_s")) for m in (man_c, man_f))
+    man = dict(man_c, name=name)
+    man.update({f"{k}_free": v for k, v in man_f.items() if v != man_c[k]})
+    man["wall_time_s"] = f"{wall:.3f}"
     chans = {"p_flip_coupled": ts_c.channels["p_flip"],
              "p_flip_free": ts_f.channels["p_flip"]}
-    return [_write(out_dir, name, ts_c.taus, chans, RunManifest(entries))]
+    return [_write(out_dir, name, ts_c.taus, chans, man)]

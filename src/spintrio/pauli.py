@@ -142,18 +142,24 @@ def bloch_length(r, qubits=3):
     return float(b) if b.ndim == 0 else b
 
 
-def _ket(bits):
-    v = np.zeros(8, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
+# Each pure initial state as the computational-basis kets of its equal
+# superposition (qubit order e, p, n).
+_KETS = {
+    "S": ("111",),
+    "BS": ("001", "010"),
+    "GHZ": ("000", "111"),
+    "W": ("001", "010", "100"),
+    "V": ("110", "101", "011"),
+    "Up": ("000",),
+}
+STATE_NAMES = ("S", "BS", "GHZ", "W", "V", "Mix", "Up")
 
 
-def _projector(psi):
+def _pure(name):
+    psi = np.zeros(8, dtype=complex)
+    psi[[int(bits, 2) for bits in _KETS[name]]] = 1.0
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
-
-
-STATE_NAMES = ("S", "BS", "GHZ", "W", "V", "Mix", "Up")
 
 
 def initial_state(name, x=None):
@@ -173,26 +179,11 @@ def initial_state(name, x=None):
             raise ValueError("Mix state requires the weight x")
         if not 1 / 3 < x <= 1:
             raise ValueError(f"Mix weight must satisfy 1/3 < x <= 1, got {x}")
+        rho = x * _pure("GHZ") + 0.5 * (1 - x) * (_pure("W") + _pure("V"))
     elif x is not None:
         raise ValueError(f"weight x only applies to the Mix state, not {name}")
-
-    if name == "S":
-        rho = _projector(_ket("111"))
-    elif name == "BS":
-        rho = _projector(_ket("001") + _ket("010"))
-    elif name == "GHZ":
-        rho = _projector(_ket("000") + _ket("111"))
-    elif name == "W":
-        rho = _projector(_ket("001") + _ket("010") + _ket("100"))
-    elif name == "V":
-        rho = _projector(_ket("110") + _ket("101") + _ket("011"))
-    elif name == "Up":
-        rho = _projector(_ket("000"))
-    elif name == "Mix":
-        ghz = _projector(_ket("000") + _ket("111"))
-        w = _projector(_ket("001") + _ket("010") + _ket("100"))
-        v = _projector(_ket("110") + _ket("101") + _ket("011"))
-        rho = x * ghz + 0.5 * (1 - x) * (w + v)
+    elif name in _KETS:
+        rho = _pure(name)
     else:
         raise ValueError(f"unknown initial state {name!r}; "
                          f"choose one of {STATE_NAMES}")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from spintrio import pauli
-from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                               field_at, integrate, integrate_two,
-                               oracle_deviation, propagate_direct)
+from spintrio.dynamics import (MAX_STEPS, CouplingConstants, FieldSpec,
+                               IntegratorConfig, field_at, integrate,
+                               integrate_two, oracle_deviation,
+                               propagate_direct)
 from spintrio.errors import AccuracyError, ValidationError
 
 from conftest import random_pure
@@ -68,6 +69,12 @@ class TestIntegratorConfig:
     def test_rejects_bad_config(self, kw):
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
+
+    def test_step_limit(self):
+        # construction only: a grid at the limit would take 512 MB
+        assert IntegratorConfig(tau_max=MAX_STEPS * 1e-3).sample_every == 10
+        with pytest.raises(ValueError, match="RK4 steps"):
+            IntegratorConfig(tau_max=(MAX_STEPS + 10) * 1e-3)
 
 
 class TestIntegrate:
@@ -145,7 +152,8 @@ class TestIntegrate:
         _, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="Custom",
                          custom=lambda t: (np.nan if t > 0 else 0.0, 0.0, 1.0))
-        with pytest.raises(AccuracyError):
+        # NaN from the first half step on: the first sample after tau = 0
+        with pytest.raises(AccuracyError, match=r"first at tau = 0\.01$"):
             integrate(r0, spec, SECT5, IntegratorConfig(tau_max=0.1))
 
 

@@ -117,14 +117,14 @@ class TestRunScenario:
         assert "code_version" in mtext
         # the manifest records the last sampled tau, as written in the CSV
         assert f"tau_end = {lines[-1].split(',')[0]}" in mtext
-        assert float(man.entries["tau_end"]) == pytest.approx(ts.taus[-1])
+        assert float(man["tau_end"]) == pytest.approx(ts.taus[-1])
 
     def test_tau_end_records_rounded_grid(self, tmp_path):
         cfg = ScenarioConfig(name="rounded", tau_max=0.015,
                              measures=("b",))
         _, man = run_scenario(cfg, out_dir=tmp_path)
-        assert man.entries["tau_max"] == 0.015
-        assert float(man.entries["tau_end"]) == pytest.approx(0.02)
+        assert man["tau_max"] == 0.015
+        assert float(man["tau_end"]) == pytest.approx(0.02)
 
     def test_rows_satisfy_invariants(self, tmp_path):
         cfg = ScenarioConfig(name="inv", initial="W",
@@ -146,7 +146,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(name="orc", initial="GHZ", oracle_check=True,
                              **FAST)
         _, man = run_scenario(cfg, out_dir=tmp_path)
-        assert float(man.entries["oracle_max_dev"]) <= 1e-8
+        assert float(man["oracle_max_dev"]) <= 1e-8
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -215,11 +215,14 @@ class TestCli:
         "dt = nan", "tau_max = nan", "dt = inf", "name = ../../escaped",
         "tau_max = 0.05\nsample_every = 100000", "name = a\0b", "name =",
         "name = \xff", "output_path = ../../escaped.csv",
-        "sample_every = 1" + "0" * 400,
+        "sample_every = 1" + "0" * 400, "tau_max = 1e300", "tau_max = 1e7",
+        "field_kind = Custom",
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
             "tau_max_nan", "dt_inf", "name_escapes_out",
             "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
-            "output_path_escapes_out", "sample_every_past_float"])
+            "output_path_escapes_out", "sample_every_past_float",
+            "tau_max_past_float_grid", "tau_max_past_step_limit",
+            "field_kind_custom"])
     def test_rejected_config_exit_code(self, tmp_path, monkeypatch, text):
         cfgfile = tmp_path / "bad.cfg"
         # latin-1 writes each case as its own bytes: all ASCII except the
@@ -231,6 +234,8 @@ class TestCli:
         out = tmp_path / "a" / "b"
         out.mkdir(parents=True)
         monkeypatch.chdir(out)
+        # validate and run reject the same documents
+        assert cli.main(["validate", "--config", str(cfgfile)]) == 2
         for oracle in ("off", "on"):
             assert cli.main(["run", "--config", str(cfgfile), "--out",
                              str(out), "--oracle", oracle]) == 2
