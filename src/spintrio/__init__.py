@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
                        TimeSeries, field_at, integrate, integrate_two,
-                       propagate_direct, rhs_three, rhs_two)
+                       propagate_direct, rhs_three)
 from .errors import AccuracyError, ConfigError, SpintrioError, ValidationError
 from .measures import (concurrence_c3, flip_probability, m_b, m_k, m_l, m_sm,
                        m_two, pair_tensors, triple_tensor)
@@ -21,7 +21,7 @@ __all__ = [
     "__version__",
     "CouplingConstants", "FieldSpec", "IntegratorConfig", "TimeSeries",
     "field_at", "integrate", "integrate_two", "propagate_direct",
-    "rhs_three", "rhs_two",
+    "rhs_three",
     "AccuracyError", "ConfigError", "SpintrioError", "ValidationError",
     "concurrence_c3", "flip_probability", "m_b", "m_k", "m_l", "m_sm",
     "m_two", "pair_tensors", "triple_tensor",

@@ -88,11 +88,6 @@ def generators():
     return gens
 
 
-def generator(coeffs):
-    """A for the twelve coefficients (h_e, h_p, h_n, J_ep, J_en, J_pn)."""
-    return np.tensordot(coeffs, generators(), axes=1)
-
-
 def stack(mults, jep, jen, jpn):
     """[M_J; F_x; F_y; F_z], shape (4, 64, 64), for qubit fields
     mults[q] * h."""

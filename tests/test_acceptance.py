@@ -37,7 +37,7 @@ def standard_runs():
         rho0, r0 = pauli.initial_state(st, x)
         spec = FieldSpec(kind=fk)
         ts = integrate(r0, spec, SECT5, GRID)
-        dev = oracle_deviation(ts, rho0, spec, SECT5, dt=GRID.dt)
+        dev = oracle_deviation(ts, rho0, spec, SECT5).max()
         runs[(st, fk)] = (ts, dev)
     return runs
 

@@ -14,6 +14,13 @@ from conftest import random_pure
 
 SECT5 = CouplingConstants()  # (-0.2, -0.1, -0.3)
 
+# Each built-in field and a Custom field written out independently.
+BUILTIN_COPIES = pytest.mark.parametrize("kind, h", [
+    ("R", lambda t: (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0)),
+    ("NR", lambda t: (-0.3 * np.cos(t), -0.3 * np.sin(t), -1.0)),
+    ("ConstantZ", lambda t: (0.0, 0.0, 1.0)),
+], ids=["R", "NR", "ConstantZ"])
+
 
 class TestFieldAt:
     def test_resonant_at_zero(self):
@@ -134,11 +141,7 @@ class TestIntegrate:
                 integrate(r0, FieldSpec(kind="R"), SECT5,
                           IntegratorConfig(tau_max=0.1))
 
-    @pytest.mark.parametrize("kind, h", [
-        ("R", lambda t: (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0)),
-        ("NR", lambda t: (-0.3 * np.cos(t), -0.3 * np.sin(t), -1.0)),
-        ("ConstantZ", lambda t: (0.0, 0.0, 1.0)),
-    ], ids=["R", "NR", "ConstantZ"])
+    @BUILTIN_COPIES
     def test_custom_field_matches_builtin(self, kind, h):
         _, r0 = pauli.initial_state("W")
         builtin = FieldSpec(kind=kind)
@@ -198,12 +201,12 @@ class TestPropagateDirect:
 
     def test_step_unitarity(self):
         rho0, _ = pauli.initial_state("GHZ")
-        # a handful of substeps: per-step unitarity at machine precision
+        # one short interval: unitary at machine precision
         short = propagate_direct(rho0, FieldSpec(kind="NR"), SECT5,
                                  [0.0, 1e-3])
         assert abs(np.trace(short[1]).real - 1) < 1e-14
         assert abs(np.einsum('ij,ji->', short[1], short[1]).real - 1) < 1e-13
-        # trace/purity drift stays tiny over tens of thousands of substeps
+        # trace and purity stay put at every sample up to tau = 2
         out = propagate_direct(rho0, FieldSpec(kind="NR"), SECT5,
                                np.arange(0, 21) * 0.1)
         traces = np.einsum('kii->k', out).real
@@ -215,7 +218,31 @@ class TestPropagateDirect:
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="R")
         ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=5.0))
-        assert oracle_deviation(ts, rho0, spec, SECT5) < 1e-8
+        dev = oracle_deviation(ts, rho0, spec, SECT5)
+        assert dev.shape == ts.taus.shape
+        assert dev.max() < 1e-8
+
+    def test_restart_from_a_later_sample(self):
+        # rho0 is the state at taus[0], which need not be 0
+        rho0, _ = pauli.initial_state("GHZ")
+        taus = np.arange(0, 301) * 0.01
+        full = propagate_direct(rho0, FieldSpec(kind="R"), SECT5, taus)
+        again = propagate_direct(full[1], FieldSpec(kind="R"), SECT5,
+                                 taus[1:])
+        assert np.abs(again - full[1:]).max() < 1e-12
+
+    @BUILTIN_COPIES
+    def test_magnus_path_matches_exact_path(self, kind, h):
+        # Custom copies take the Magnus steps, built-ins the closed form
+        rho0, _ = pauli.initial_state("W")
+        taus = np.arange(0, 201) * 0.01
+        exact = propagate_direct(rho0, FieldSpec(kind=kind), SECT5, taus)
+        custom = FieldSpec(kind="Custom", custom=h)
+        magnus = propagate_direct(rho0, custom, SECT5, taus)
+        assert np.abs(magnus - exact).max() < 1e-10
+        # backwards in time over samples 0.5 apart: still steps of <= dt
+        back = propagate_direct(exact[-1], custom, SECT5, taus[::-50])
+        assert np.abs(back - exact[::-50]).max() < 1e-10
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValidationError):

@@ -241,6 +241,18 @@ class TestCli:
                              str(out), "--oracle", oracle]) == 2
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfgfile]
 
+    def test_oracle_gate_names_first_tau(self, tmp_path, capsys):
+        # RK4 at dt = 0.002 keeps the Bloch length (drift 8.3e-10) but
+        # leaves the exact answer by 4.7e-8, first at tau = 7.27
+        cfgfile = tmp_path / "trip.cfg"
+        cfgfile.write_text("name = trip\ninitial = GHZ\nfield_kind = R\n"
+                           "dt = 0.002\nsample_every = 5\ntau_max = 30\n")
+        assert cli.main(["run", "--config", str(cfgfile), "--out",
+                         str(tmp_path), "--oracle", "on"]) == 3
+        err = capsys.readouterr().err
+        assert "oracle deviation" in err and "first at tau = 7.27" in err
+        assert not (tmp_path / "trip.csv").exists()
+
     def test_unknown_preset_exit_code(self, tmp_path):
         assert cli.main(["run", "--preset", "nope",
                          "--out", str(tmp_path)]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from spintrio import _kernels, pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                               integrate, rhs_three, rhs_two)
+                               integrate, rhs_three)
 
 from conftest import kron3, random_density
 
@@ -16,6 +16,14 @@ def commutator_rhs3(r, he, hp, hn, coupling):
     rho = pauli.r_to_rho(r, validate=False)
     H = pauli.build_hamiltonian(he, hp, hn, coupling)
     return pauli.rho_to_r(-1j * (H @ rho - rho @ H), validate=False)
+
+
+def pair_rhs(r2, h, mults, j_ep):
+    """dR/dtau of the two-qubit block integrate_two runs: the pair block of
+    the stack for qubit fields (m_e h, m_p h), weighted by [1, h]."""
+    block = _kernels.pair_block(_kernels.stack((*mults, 0.0), j_ep, 0.0, 0.0))
+    a = np.tensordot(np.concatenate([[1.0], h]), block, axes=1)
+    return (a @ np.ravel(r2)).reshape(4, 4)
 
 
 def commutator_rhs2(r2, he, hp, j_ep):
@@ -70,7 +78,8 @@ class TestRhsThree:
         for _ in range(10):
             r = pauli.rho_to_r(random_density(rng))
             coeffs = rng.normal(size=12)
-            a = _kernels.generator(coeffs) @ r.ravel()
+            a = np.tensordot(coeffs, _kernels.generators(), axes=1)
+            a = a @ r.ravel()
             b = _kernels.rhs_three(r, coeffs[0:3], coeffs[3:6], coeffs[6:9],
                                    *coeffs[9:])
             assert np.abs(a - b.ravel()).max() < 1e-14
@@ -80,7 +89,7 @@ class TestRhsTwo:
     def test_trivial_is_stationary(self, rng):
         r2 = np.zeros((4, 4))
         r2[0, 0] = 1.0
-        d = rhs_two(r2, rng.normal(size=3), rng.normal(size=3), -0.3)
+        d = pair_rhs(r2, rng.normal(size=3), rng.normal(size=2), -0.3)
         assert np.abs(d).max() < 1e-14
 
     def test_decoupled_precessions(self, rng):
@@ -90,8 +99,9 @@ class TestRhsTwo:
         basis2 = np.array([[np.kron(pauli.SIGMA[a], pauli.SIGMA[b])
                             for b in range(4)] for a in range(4)])
         r2 = np.einsum('abij,ji->ab', basis2, rho).real
-        he, hp = rng.normal(size=(2, 3))
-        d = rhs_two(r2, he, hp, 0.0)
+        h, mults = rng.normal(size=3), rng.normal(size=2)
+        d = pair_rhs(r2, h, mults, 0.0)
+        he, hp = mults[0] * h, mults[1] * h
         assert np.abs(d[1:, 0] - np.cross(he, r2[1:, 0])).max() < 1e-13
         assert np.abs(d[0, 1:] - np.cross(hp, r2[0, 1:])).max() < 1e-13
 
@@ -103,10 +113,10 @@ class TestRhsTwo:
             basis2 = np.array([[np.kron(pauli.SIGMA[x], pauli.SIGMA[y])
                                 for y in range(4)] for x in range(4)])
             r2 = np.einsum('abij,ji->ab', basis2, rho).real
-            he, hp = rng.normal(size=(2, 3))
+            h, mults = rng.normal(size=3), rng.normal(size=2)
             j_ep = rng.normal()
-            d = rhs_two(r2, he, hp, j_ep)
-            ref = commutator_rhs2(r2, he, hp, j_ep)
+            d = pair_rhs(r2, h, mults, j_ep)
+            ref = commutator_rhs2(r2, mults[0] * h, mults[1] * h, j_ep)
             assert np.abs(d - ref).max() < 1e-12
 
     def test_block_of_rhs_three(self, rng):
@@ -114,11 +124,11 @@ class TestRhsTwo:
         # three-qubit RHS is closed and is the two-qubit RHS
         for _ in range(10):
             r = rng.normal(size=(4, 4, 4))
-            he, hp = rng.normal(size=(2, 3))
+            h, mults = rng.normal(size=3), rng.normal(size=2)
             j_ep = rng.normal()
-            full = rhs_three(r, he, hp, np.zeros(3),
+            full = rhs_three(r, mults[0] * h, mults[1] * h, np.zeros(3),
                              CouplingConstants(j_ep, 0.0, 0.0))
-            d = rhs_two(r[:, :, 0], he, hp, j_ep)
+            d = pair_rhs(r[:, :, 0], h, mults, j_ep)
             assert np.abs(d - full[:, :, 0]).max() < 1e-14
 
 
