@@ -1,20 +1,35 @@
-"""Time evolution: driving-field models, the real-tensor ODE integration, and
-an independent complex density-matrix oracle propagator.
+"""Time evolution: driving-field models, the 63 equations and their RK4
+integration, and an independent complex density-matrix oracle propagator.
 
 All times are dimensionless (tau = omega t); fields and exchange constants are
 expressed in units of the drive frequency omega.
+
+rhs_three is the one definition of the 63 equations: seven einsum blocks
+(local Bloch vectors, the three pair-correlation tensors, the triple tensor).
+It is linear in the state and in (h, J), so the 64 unit tensors give twelve
+64x64 generators, one per field component per qubit and one per exchange
+constant.  For a base field h(tau) seen by qubit q as multipliers[q] * h(tau),
+
+    A(tau) = M_J + h_x(tau) F_x + h_y(tau) F_y + h_z(tau) F_z,
+
+so a trajectory needs one stack [M_J; F_x; F_y; F_z] and the coefficients
+[1, h_x, h_y, h_z] on the time grid.  The two-qubit (e, p) reduction is the
+(a, b, 0) block of the same generators with qubit n decoupled.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, pauli
-from .errors import AccuracyError
+from . import pauli
+from .errors import AccuracyError, ValidationError
 
-BLOCH_DRIFT_TOL = 1e-8
+# Tolerance of both accuracy gates: the Bloch-length drift of an integration
+# and the oracle deviation of a run.
+GATE_TOL = 1e-8
 
 # Most RK4 steps of one trajectory: 33x the default run, 512 MB of samples
 # at sample_every = 1.
@@ -25,6 +40,12 @@ FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 # Rate nu at which a built-in field turns about z: H(tau) = V(tau) H(0)
 # V(tau)^dag with V(tau) = exp(i nu tau S_z), S_z the total spin component.
 ROTATION = {"R": 1, "NR": -1, "ConstantZ": 0}
+
+# pauli.EPS on indices 1..3, copied: einsum is slower on the strided view.
+EPS3 = np.ascontiguousarray(pauli.EPS[1:, 1:, 1:])
+
+# Flat indices of the (a, b, 0) components of a 4x4x4 tensor.
+PAIR = np.arange(16) * 4
 
 
 @dataclass(frozen=True)
@@ -129,18 +150,81 @@ class TimeSeries:
     states: np.ndarray  # (n, 4, 4, 4)
     channels: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if np.any(np.diff(self.taus) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        for name, vals in self.channels.items():
-            if len(vals) != len(self.taus):
-                raise ValueError(f"channel {name!r} length mismatch")
+
+def rhs_three(r, he, hp, hn, coupling):
+    """dR/dtau of the 63-equation system for a (..., 4, 4, 4) stack of
+    tensors; r[..., 0, 0, 0] has zero derivative."""
+    e = EPS3
+    jep, jen, jpn = coupling.j_ep, coupling.j_en, coupling.j_pn
+    out = np.zeros(np.shape(r))
+    rq00 = r[..., 1:, 0, 0]
+    r0q0 = r[..., 0, 1:, 0]
+    r00q = r[..., 0, 0, 1:]
+    rqk0 = r[..., 1:, 1:, 0]
+    rq0k = r[..., 1:, 0, 1:]
+    r0qk = r[..., 0, 1:, 1:]
+    rqkl = r[..., 1:, 1:, 1:]
+    out[..., 1:, 0, 0] = (np.einsum('ilq,i,...l->...q', e, he, rq00)
+                          + np.einsum('mlq,...lm->...q', e,
+                                      jep * rqk0 + jen * rq0k))
+    out[..., 0, 1:, 0] = (np.einsum('ilq,i,...l->...q', e, hp, r0q0)
+                          + jep * np.einsum('mlq,...ml->...q', e, rqk0)
+                          + jpn * np.einsum('mlq,...lm->...q', e, r0qk))
+    out[..., 0, 0, 1:] = (np.einsum('ilq,i,...l->...q', e, hn, r00q)
+                          + np.einsum('lmq,...lm->...q', e,
+                                      jen * rq0k + jpn * r0qk))
+    out[..., 1:, 1:, 0] = (np.einsum('ilq,i,...lk->...qk', e, he, rqk0)
+                           + np.einsum('imk,i,...qm->...qk', e, hp, rqk0)
+                           + jep * np.einsum('kmq,...m->...qk', e, rq00 - r0q0)
+                           + jen * np.einsum('lmq,...mkl->...qk', e, rqkl)
+                           + jpn * np.einsum('lmk,...qml->...qk', e, rqkl))
+    out[..., 1:, 0, 1:] = (np.einsum('ilq,i,...lk->...qk', e, he, rq0k)
+                           + np.einsum('imk,i,...qm->...qk', e, hn, rq0k)
+                           + jen * np.einsum('qmk,...m->...qk', e, r00q - rq00)
+                           + jep * np.einsum('lmq,...mlk->...qk', e, rqkl)
+                           + jpn * np.einsum('lmk,...qlm->...qk', e, rqkl))
+    out[..., 0, 1:, 1:] = (np.einsum('ilq,i,...lk->...qk', e, hp, r0qk)
+                           + np.einsum('imk,i,...qm->...qk', e, hn, r0qk)
+                           + jpn * np.einsum('qmk,...m->...qk', e, r00q - r0q0)
+                           + jep * np.einsum('lmq,...lmk->...qk', e, rqkl)
+                           + jen * np.einsum('lmk,...lqm->...qk', e, rqkl))
+    out[..., 1:, 1:, 1:] = (
+        np.einsum('imq,i,...mkl->...qkl', e, he, rqkl)
+        + np.einsum('imk,i,...qml->...qkl', e, hp, rqkl)
+        + np.einsum('iml,i,...qkm->...qkl', e, hn, rqkl)
+        + jep * np.einsum('kmq,...ml->...qkl', e, rq0k - r0qk)
+        + jen * (np.einsum('qml,...km->...qkl', e, r0qk)
+                 - np.einsum('qml,...mk->...qkl', e, rqk0))
+        + jpn * np.einsum('kml,...qm->...qkl', e, rq0k - rqk0))
+    return out
 
 
-def rhs_three(r, h_e, h_p, h_n, coupling):
-    """dR/dtau of the 63-equation system (the r[0,0,0] slot stays zero)."""
-    return _kernels.rhs_three(r, h_e, h_p, h_n,
-                              coupling.j_ep, coupling.j_en, coupling.j_pn)
+@functools.cache
+def generators():
+    """The twelve 64x64 generators, read-only: d/dh_e, d/dh_p, d/dh_n (x, y,
+    z each), then d/dJ_ep, d/dJ_en, d/dJ_pn.  Column w is the derivative of
+    the w-th unit tensor."""
+    units = np.eye(64).reshape(64, 4, 4, 4)
+    gens = np.stack([rhs_three(units, c[0:3], c[3:6], c[6:9],
+                               CouplingConstants(*c[9:]))
+                     .reshape(64, 64).T for c in np.eye(12)])
+    gens.setflags(write=False)
+    return gens
+
+
+def stack(mults, coupling):
+    """[M_J; F_x; F_y; F_z], shape (4, 64, 64), for qubit fields
+    mults[q] * h."""
+    gens = generators()
+    m_j = np.tensordot([coupling.j_ep, coupling.j_en, coupling.j_pn],
+                       gens[9:], axes=1)
+    f = np.tensordot(mults, gens[:9].reshape(3, 3, 64, 64), axes=1)
+    return np.concatenate([m_j[None], f])
+
+
+def pair_block(a):
+    """The (a, b, 0) rows and columns of (..., 64, 64) generators."""
+    return a[..., PAIR[:, None], PAIR]
 
 
 def check_gate(dev, taus, tol, what):
@@ -154,40 +238,62 @@ def check_gate(dev, taus, tol, what):
             f"tau = {taus[outside.argmax()]:.6g}", worst)
 
 
-def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
-    """Integrate the 63-equation system; returns a TimeSeries with a 'b'
-    channel.  Raises AccuracyError if the Bloch length drifts beyond 1e-8."""
+def _trajectory(r0, spec, stack, cfg, qubits):
+    """(taus, states, Bloch lengths) of classical fixed-step RK4 from the
+    `qubits`-qubit tensor r0 for dR/dtau = A(tau) R, where A is the stack
+    [M_J; F_x; F_y; F_z] weighted by [1, h_x, h_y, h_z] of the base field.
+    Raises AccuracyError if the Bloch length drifts beyond GATE_TOL."""
+    if np.shape(r0) != (4,) * qubits:
+        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
+                              f"got {np.shape(r0)}")
     r0 = pauli.check_normalized(r0)
     n_steps, taus = cfg.grid()
-    stack = _kernels.stack(spec.multipliers, coupling.j_ep, coupling.j_en,
-                           coupling.j_pn)
-    states = _rk4(r0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4, 4)
-    b = pauli.bloch_length(states)
-    check_gate(np.abs(b - b[0]), taus, BLOCH_DRIFT_TOL,
-               "Bloch length drift of the three-qubit integration")
+    dt, every = cfg.dt, cfg.sample_every
+    # the weights on the half-step grid, shape (2 n_steps + 1, 4)
+    h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
+    coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
+    m, d, _ = stack.shape
+    flat = stack.reshape(m * d, d)
+
+    def f(c, y):
+        # sum_j c[j] stack[j] @ y as one (m d x d) product and an m-term sum
+        return c @ (flat @ y).reshape(m, d)
+
+    states = np.empty((len(taus), d))
+    states[0] = y = r0.ravel()
+    for step in range(n_steps):
+        c0, ch, c1 = coeffs[2 * step:2 * step + 3]
+        k1 = f(c0, y)
+        k2 = f(ch, y + 0.5 * dt * k1)
+        k3 = f(ch, y + 0.5 * dt * k2)
+        k4 = f(c1, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % every == 0:
+            states[(step + 1) // every] = y
+    states = states.reshape((-1,) + r0.shape)
+    b = pauli.bloch_length(states, qubits=qubits)
+    what = {2: "two", 3: "three"}[qubits]
+    check_gate(np.abs(b - b[0]), taus, GATE_TOL,
+               f"Bloch length drift of the {what}-qubit integration")
+    return taus, states, b
+
+
+def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
+    """Integrate the 63-equation system; returns a TimeSeries with a 'b'
+    channel.  Raises AccuracyError if the Bloch length drifts beyond
+    GATE_TOL."""
+    taus, states, b = _trajectory(r0, spec, stack(spec.multipliers, coupling),
+                                  cfg, 3)
     return TimeSeries(taus=taus, states=states, channels={"b": b})
 
 
-def _rk4(y0, spec, stack, cfg, n_steps):
-    """RK4 over stack = [M_J; F_x; F_y; F_z] with the weights [1, h_x, h_y,
-    h_z] of the base field on the half-step grid."""
-    h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * cfg.dt))
-    coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
-    return _kernels.rk4(stack, coeffs, y0, cfg.dt, cfg.sample_every)
-
-
 def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
-    """Integrate the two-qubit reduction for the (e, p) pair."""
-    r2_0 = pauli.check_normalized(r2_0)
-    n_steps, taus = cfg.grid()
+    """Integrate the two-qubit reduction for the (e, p) pair; returns
+    (taus, states)."""
     m = spec.multipliers
-    stack = _kernels.pair_block(_kernels.stack((m[0], m[1], 0.0), j_ep,
-                                               0.0, 0.0))
-    states = _rk4(r2_0.ravel(), spec, stack, cfg, n_steps).reshape(-1, 4, 4)
-    b = pauli.bloch_length(states, qubits=2)
-    check_gate(np.abs(b - b[0]), taus, BLOCH_DRIFT_TOL,
-               "Bloch length drift of the two-qubit integration")
-    return taus, states
+    block = pair_block(stack((m[0], m[1], 0.0),
+                             CouplingConstants(j_ep, 0.0, 0.0)))
+    return _trajectory(r2_0, spec, block, cfg, 2)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +320,10 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     rho0 = np.asarray(rho0, dtype=complex)
     pauli.validate_density(rho0)
     taus = np.asarray(taus, dtype=float)
+    if taus.size == 0 or not np.all(np.isfinite(taus)):
+        raise ValidationError(f"taus must be non-empty and finite, got {taus}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
     out = np.empty((len(taus), 8, 8), dtype=complex)
     out[0] = rho = rho0
     if spec.kind == "Custom":

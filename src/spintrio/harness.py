@@ -14,11 +14,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__, measures, pauli
-from .dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                       check_gate, integrate, oracle_deviation)
+from .dynamics import (GATE_TOL, CouplingConstants, FieldSpec,
+                       IntegratorConfig, check_gate, integrate,
+                       oracle_deviation)
 from .errors import ConfigError
-
-ORACLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def _parse_value(kind, raw):
 def parse_config(source):
     """Parse a flat `key = value` document into a validated ScenarioConfig."""
     kinds = {f.name: f.type for f in fields(ScenarioConfig)}
-    kv = {}
+    kv, seen = {}, {}
     for lineno, line in enumerate(str(source).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -94,6 +93,10 @@ def parse_config(source):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
         try:
             kv[key] = _parse_value(kinds[key], raw)
         except (ValueError, KeyError) as exc:
@@ -150,7 +153,7 @@ def run_scenario(cfg, out_dir=None):
     if cfg.oracle_check:
         dev = oracle_deviation(ts, rho0, spec, coupling)
         man["oracle_max_dev"] = f"{np.max(dev):.3e}"
-        check_gate(dev, ts.taus, ORACLE_TOL,
+        check_gate(dev, ts.taus, GATE_TOL,
                    f"oracle deviation of scenario {cfg.name!r}")
     man["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
 

@@ -10,21 +10,10 @@ works on the trailing axes; a scalar measure returns a float for one tensor
 and one value per leading index for a stack.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 from .pauli import bloch_length
-
-
-@dataclass(frozen=True)
-class PairTensors:
-    """Two-particle cumulants: correlation minus Bloch-vector product.
-    All three arrays vanish on product states."""
-    m_ep: np.ndarray
-    m_en: np.ndarray
-    m_pn: np.ndarray
 
 
 def _value(x):
@@ -51,22 +40,22 @@ def local_vectors(r):
 
 
 def pair_tensors(r):
+    """The two-particle cumulants (m_ep, m_en, m_pn): correlation minus
+    Bloch-vector product.  All three vanish on product states."""
     a, b, c = local_vectors(r)
-    return PairTensors(
-        m_ep=r[..., 1:, 1:, 0] - np.einsum('...i,...j->...ij', a, b),
-        m_en=r[..., 1:, 0, 1:] - np.einsum('...i,...j->...ij', a, c),
-        m_pn=r[..., 0, 1:, 1:] - np.einsum('...i,...j->...ij', b, c),
-    )
+    return (r[..., 1:, 1:, 0] - np.einsum('...i,...j->...ij', a, b),
+            r[..., 1:, 0, 1:] - np.einsum('...i,...j->...ij', a, c),
+            r[..., 0, 1:, 1:] - np.einsum('...i,...j->...ij', b, c))
 
 
 def triple_tensor(r):
     """Cumulant-subtracted three-particle correlation tensor."""
     a, b, c = local_vectors(r)
-    pt = pair_tensors(r)
+    m_ep, m_en, m_pn = pair_tensors(r)
     return (r[..., 1:, 1:, 1:]
-            - np.einsum('...i,...jk->...ijk', a, pt.m_pn)
-            - np.einsum('...j,...ik->...ijk', b, pt.m_en)
-            - np.einsum('...k,...ij->...ijk', c, pt.m_ep)
+            - np.einsum('...i,...jk->...ijk', a, m_pn)
+            - np.einsum('...j,...ik->...ijk', b, m_en)
+            - np.einsum('...k,...ij->...ijk', c, m_ep)
             - np.einsum('...i,...j,...k->...ijk', a, b, c))
 
 

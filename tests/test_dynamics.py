@@ -134,9 +134,11 @@ class TestIntegrate:
         assert info.value.magnitude > 1e-8
 
     def test_rejects_unnormalized_initial(self):
-        r0 = np.zeros((4, 4, 4))
-        for r000 in (0.0, np.nan):
-            r0[0, 0, 0] = r000
+        # identity component 0 or NaN, or a unit tensor of another shape
+        for r000, shape in ((0.0, (4, 4, 4)), (np.nan, (4, 4, 4)),
+                            (1.0, (4, 4)), (1.0, (64,))):
+            r0 = np.zeros(shape)
+            r0.flat[0] = r000
             with pytest.raises(ValidationError):
                 integrate(r0, FieldSpec(kind="R"), SECT5,
                           IntegratorConfig(tau_max=0.1))
@@ -179,12 +181,21 @@ class TestIntegrateTwo:
         assert np.abs(ts.states[:, :, :, 0] - states2).max() < 1e-12
 
     def test_rejects_unnormalized(self):
-        r2_0 = np.zeros((4, 4))
-        for r00 in (0.0, np.nan):
-            r2_0[0, 0] = r00
+        # identity component 0 or NaN, or a unit tensor of another shape
+        for r00, shape in ((0.0, (4, 4)), (np.nan, (4, 4)),
+                           (1.0, (4, 4, 4)), (1.0, (16,))):
+            r2_0 = np.zeros(shape)
+            r2_0.flat[0] = r00
             with pytest.raises(ValidationError):
                 integrate_two(r2_0, FieldSpec(kind="R"), -0.2,
                               IntegratorConfig(tau_max=0.1))
+
+    def test_nan_exchange_fails_at_construction(self):
+        r2_0 = np.zeros((4, 4))
+        r2_0[0, 0] = 1.0
+        with pytest.raises(ValueError, match="exchange constants"):
+            integrate_two(r2_0, FieldSpec(kind="R"), np.nan,
+                          IntegratorConfig(tau_max=0.1))
 
 
 class TestPropagateDirect:
@@ -247,3 +258,16 @@ class TestPropagateDirect:
     def test_rejects_bad_density(self):
         with pytest.raises(ValidationError):
             propagate_direct(np.eye(8), FieldSpec(kind="R"), SECT5, [0.0])
+
+    @pytest.mark.parametrize("taus, dt", [
+        ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),
+        ([0.0, 0.5], -1e-3), ([0.0, 0.5], 0.0), ([0.0, 0.5], np.inf),
+        ([0.0, 0.5], np.nan),
+    ], ids=["empty", "tau_nan", "tau_inf", "dt_negative", "dt_zero",
+            "dt_inf", "dt_nan"])
+    def test_rejects_bad_grid_or_step(self, taus, dt):
+        rho0, _ = pauli.initial_state("W")
+        custom = FieldSpec(kind="Custom",
+                           custom=lambda t: (-0.3 * np.cos(t), 0.0, -1.0))
+        with pytest.raises(ValidationError):
+            propagate_direct(rho0, custom, SECT5, taus, dt=dt)

@@ -216,13 +216,13 @@ class TestCli:
         "tau_max = 0.05\nsample_every = 100000", "name = a\0b", "name =",
         "name = \xff", "output_path = ../../escaped.csv",
         "sample_every = 1" + "0" * 400, "tau_max = 1e300", "tau_max = 1e7",
-        "field_kind = Custom",
+        "field_kind = Custom", "tau_max = 0.05",
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
             "tau_max_nan", "dt_inf", "name_escapes_out",
             "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
             "output_path_escapes_out", "sample_every_past_float",
             "tau_max_past_float_grid", "tau_max_past_step_limit",
-            "field_kind_custom"])
+            "field_kind_custom", "duplicate_key"])
     def test_rejected_config_exit_code(self, tmp_path, monkeypatch, text):
         cfgfile = tmp_path / "bad.cfg"
         # latin-1 writes each case as its own bytes: all ASCII except the

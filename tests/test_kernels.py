@@ -4,9 +4,10 @@ and the complex commutator oracle."""
 import numpy as np
 import pytest
 
-from spintrio import _kernels, pauli
+from spintrio import pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                               integrate, rhs_three)
+                               generators, integrate, pair_block, rhs_three,
+                               stack)
 
 from conftest import kron3, random_density
 
@@ -21,7 +22,7 @@ def commutator_rhs3(r, he, hp, hn, coupling):
 def pair_rhs(r2, h, mults, j_ep):
     """dR/dtau of the two-qubit block integrate_two runs: the pair block of
     the stack for qubit fields (m_e h, m_p h), weighted by [1, h]."""
-    block = _kernels.pair_block(_kernels.stack((*mults, 0.0), j_ep, 0.0, 0.0))
+    block = pair_block(stack((*mults, 0.0), CouplingConstants(j_ep, 0.0, 0.0)))
     a = np.tensordot(np.concatenate([[1.0], h]), block, axes=1)
     return (a @ np.ravel(r2)).reshape(4, 4)
 
@@ -78,10 +79,10 @@ class TestRhsThree:
         for _ in range(10):
             r = pauli.rho_to_r(random_density(rng))
             coeffs = rng.normal(size=12)
-            a = np.tensordot(coeffs, _kernels.generators(), axes=1)
+            a = np.tensordot(coeffs, generators(), axes=1)
             a = a @ r.ravel()
-            b = _kernels.rhs_three(r, coeffs[0:3], coeffs[3:6], coeffs[6:9],
-                                   *coeffs[9:])
+            b = rhs_three(r, coeffs[0:3], coeffs[3:6], coeffs[6:9],
+                          CouplingConstants(*coeffs[9:]))
             assert np.abs(a - b.ravel()).max() < 1e-14
 
 

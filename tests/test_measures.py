@@ -17,29 +17,27 @@ def r_of(name, x=None):
 
 class TestPairTensors:
     def test_product_state_vanishes(self):
-        pt = measures.pair_tensors(r_of("S"))
-        for m in (pt.m_ep, pt.m_en, pt.m_pn):
+        for m in measures.pair_tensors(r_of("S")):
             assert np.abs(m).max() < 1e-13
 
     def test_ghz_zz_entry(self):
-        pt = measures.pair_tensors(r_of("GHZ"))
-        assert pt.m_ep[2, 2] == pytest.approx(1.0, abs=1e-13)
+        m_ep, _, _ = measures.pair_tensors(r_of("GHZ"))
+        assert m_ep[2, 2] == pytest.approx(1.0, abs=1e-13)
 
     def test_bs_structure(self):
         # the (p, n) pair is entangled; e is in a definite sigma_3 state
-        pt = measures.pair_tensors(r_of("BS"))
-        assert np.abs(pt.m_pn).max() > 0.5
-        assert np.abs(pt.m_ep).max() < 1e-13
-        assert np.abs(pt.m_en).max() < 1e-13
+        m_ep, m_en, m_pn = measures.pair_tensors(r_of("BS"))
+        assert np.abs(m_pn).max() > 0.5
+        assert np.abs(m_ep).max() < 1e-13
+        assert np.abs(m_en).max() < 1e-13
 
     def test_matches_reduced_matrix_oracle(self, rng):
         # pair cumulant = two-qubit correlation from the reduced matrix
         # minus the product of local Bloch vectors
         rho = random_density(rng)
         r = pauli.rho_to_r(rho)
-        pt = measures.pair_tensors(r)
-        for m, keep in ((pt.m_ep, (0, 1)), (pt.m_en, (0, 2)),
-                        (pt.m_pn, (1, 2))):
+        pairs = zip(measures.pair_tensors(r), ((0, 1), (0, 2), (1, 2)))
+        for m, keep in pairs:
             rho2 = reduced(rho, keep)
             corr = np.array([[np.trace(rho2 @ np.kron(pauli.SIGMA[i],
                                                       pauli.SIGMA[j])).real
