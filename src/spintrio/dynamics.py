@@ -238,25 +238,23 @@ def check_gate(dev, taus, tol, what):
             f"tau = {taus[outside.argmax()]:.6g}", worst)
 
 
-def _trajectory(r0, spec, stack, cfg, qubits):
+def _trajectory(r0, spec, gens, cfg, qubits):
     """(taus, states, Bloch lengths) of classical fixed-step RK4 from the
     `qubits`-qubit tensor r0 for dR/dtau = A(tau) R, where A is the stack
-    [M_J; F_x; F_y; F_z] weighted by [1, h_x, h_y, h_z] of the base field.
-    Raises AccuracyError if the Bloch length drifts beyond GATE_TOL."""
-    if np.shape(r0) != (4,) * qubits:
-        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
-                              f"got {np.shape(r0)}")
-    r0 = pauli.check_normalized(r0)
+    `gens` = [M_J; F_x; F_y; F_z] weighted by [1, h_x, h_y, h_z] of the base
+    field.  Raises AccuracyError if the Bloch length drifts beyond
+    GATE_TOL."""
+    r0 = pauli.check_normalized(r0, qubits)
     n_steps, taus = cfg.grid()
     dt, every = cfg.dt, cfg.sample_every
     # the weights on the half-step grid, shape (2 n_steps + 1, 4)
     h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
     coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
-    m, d, _ = stack.shape
-    flat = stack.reshape(m * d, d)
+    m, d, _ = gens.shape
+    flat = gens.reshape(m * d, d)
 
     def f(c, y):
-        # sum_j c[j] stack[j] @ y as one (m d x d) product and an m-term sum
+        # sum_j c[j] gens[j] @ y as one (m d x d) product and an m-term sum
         return c @ (flat @ y).reshape(m, d)
 
     states = np.empty((len(taus), d))

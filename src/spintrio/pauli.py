@@ -109,10 +109,14 @@ def rho_to_r(rho, validate=True):
     return np.ascontiguousarray(traces.real)
 
 
-def check_normalized(r):
-    """r as a float array; raises ValidationError unless its identity
-    component r[0, ..., 0] is 1 (unit trace), which NaN fails."""
+def check_normalized(r, qubits=3):
+    """r as a float array; raises ValidationError unless it has `qubits`
+    axes of length 4 and its identity component r[0, ..., 0] is 1 (unit
+    trace), which NaN fails."""
     r = np.asarray(r, dtype=float)
+    if r.shape != (4,) * qubits:
+        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
+                              f"got {r.shape}")
     if not abs(r.flat[0] - 1.0) <= 1e-12:
         raise ValidationError(f"identity component is {r.flat[0]}, "
                               "expected 1")
@@ -121,11 +125,7 @@ def check_normalized(r):
 
 def r_to_rho(r, validate=True):
     """Inverse of rho_to_r: rho = (1/8) sum r[a,b,c] sigma_a x sigma_b x sigma_c."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (4, 4, 4):
-        raise ValidationError(f"R tensor must be 4x4x4, got {r.shape}")
-    if validate:
-        check_normalized(r)
+    r = check_normalized(r) if validate else np.asarray(r, dtype=float)
     return np.einsum('abc,abcij->ij', r, BASIS) / 8.0
 
 

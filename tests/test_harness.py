@@ -209,36 +209,55 @@ class TestCli:
                                  names=True)
             assert data["tau"][-1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("text", [
-        "omega1 = nan", "multipliers = 1 inf 4",
-        "initial = Mix\nx = 0.9\nmeasures = c3",
-        "dt = nan", "tau_max = nan", "dt = inf", "name = ../../escaped",
-        "tau_max = 0.05\nsample_every = 100000", "name = a\0b", "name =",
-        "name = \xff", "output_path = ../../escaped.csv",
-        "sample_every = 1" + "0" * 400, "tau_max = 1e300", "tau_max = 1e7",
-        "field_kind = Custom", "tau_max = 0.05",
+    @pytest.mark.parametrize("text, message", [
+        ("omega1 = nan", "multipliers must be finite"),
+        ("multipliers = 1 inf 4", "multipliers must be finite"),
+        ("initial = Mix\nx = 0.9\nmeasures = c3", "c3 needs a pure state"),
+        ("dt = nan", "dt and tau_max must be finite and positive"),
+        ("tau_max = nan", "dt and tau_max must be finite and positive"),
+        ("dt = inf", "dt and tau_max must be finite and positive"),
+        ("name = ../../escaped", "name must be a plain file name"),
+        ("tau_max = 0.05\nsample_every = 100000",
+         "tau_max rounds to zero sample intervals"),
+        ("name = a\0b", "name must be a plain file name"),
+        ("name =", "name must be a plain file name"),
+        ("name = \xff", "can't decode byte 0xff"),
+        ("output_path = ../../escaped.csv", "unknown key 'output_path'"),
+        ("sample_every = 1" + "0" * 400, "too large to convert to float"),
+        ("tau_max = 1e300", "more than 1000000 RK4 steps"),
+        ("tau_max = 1e7", "more than 1000000 RK4 steps"),
+        ("field_kind = Custom", "Custom field requires a callable"),
+        ("tau_max = 0.1\ntau_max = 0.05",
+         "line 2: key 'tau_max' already set on line 1"),
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
             "tau_max_nan", "dt_inf", "name_escapes_out",
             "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
             "output_path_escapes_out", "sample_every_past_float",
             "tau_max_past_float_grid", "tau_max_past_step_limit",
             "field_kind_custom", "duplicate_key"])
-    def test_rejected_config_exit_code(self, tmp_path, monkeypatch, text):
+    def test_rejected_config_exit_code(self, tmp_path, monkeypatch, capsys,
+                                       text, message):
         cfgfile = tmp_path / "bad.cfg"
+        # a case that sets no tau_max of its own gets a short one, so a
+        # check that lets it through still ends quickly
+        if "tau_max" not in text:
+            text = f"tau_max = 0.1\n{text}"
         # latin-1 writes each case as its own bytes: all ASCII except the
         # 0xff of not_utf8, which is no valid UTF-8
-        cfgfile.write_bytes(f"tau_max = 0.1\n{text}\n".encode("latin-1"))
+        cfgfile.write_bytes(f"{text}\n".encode("latin-1"))
         # --out and the working directory two levels below tmp_path, so a
         # path that climbs out of either would still land inside tmp_path
         # and be seen below
         out = tmp_path / "a" / "b"
         out.mkdir(parents=True)
         monkeypatch.chdir(out)
-        # validate and run reject the same documents
+        # validate and run reject the same documents, for the same reason
         assert cli.main(["validate", "--config", str(cfgfile)]) == 2
+        assert message in capsys.readouterr().err
         for oracle in ("off", "on"):
             assert cli.main(["run", "--config", str(cfgfile), "--out",
                              str(out), "--oracle", oracle]) == 2
+            assert message in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfgfile]
 
     def test_oracle_gate_names_first_tau(self, tmp_path, capsys):
