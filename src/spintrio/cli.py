@@ -31,7 +31,8 @@ def _build_parser():
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--oracle", choices=["on", "off"],
                      help="override the density-matrix oracle cross-check")
-    run.add_argument("--dt", type=float, help="override integration step")
+    run.add_argument("--dt", type=float,
+                     help="override dt: samples every dt * sample_every")
     run.add_argument("--tau-max", type=float, help="override trajectory length")
 
     sub.add_parser("list-presets", help="list available presets")

@@ -1,5 +1,5 @@
-"""Time evolution: driving-field models, the 63 equations and their RK4
-integration, and an independent complex density-matrix oracle propagator.
+"""Time evolution: driving-field models, the 63 equations and their
+propagation, and an independent complex density-matrix oracle propagator.
 
 All times are dimensionless (tau = omega t); fields and exchange constants are
 expressed in units of the drive frequency omega.
@@ -15,6 +15,11 @@ constant.  For a base field h(tau) seen by qubit q as multipliers[q] * h(tau),
 so a trajectory needs one stack [M_J; F_x; F_y; F_z] and the coefficients
 [1, h_x, h_y, h_z] on the time grid.  The two-qubit (e, p) reduction is the
 (a, b, 0) block of the same generators with qubit n decoupled.
+
+The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
+in the frame that turns with them A is constant and the samples are exact:
+dt only sets the sample spacing dt * sample_every.  Custom fields take
+fixed RK4 steps of dt.
 """
 
 import functools
@@ -31,8 +36,8 @@ from .errors import AccuracyError, ValidationError
 # and the oracle deviation of a run.
 GATE_TOL = 1e-8
 
-# Most RK4 steps of one trajectory: 33x the default run, 512 MB of samples
-# at sample_every = 1.
+# Most steps of dt on one grid (RK4 steps on a Custom field): 33x the
+# default run, 512 MB of samples at sample_every = 1.
 MAX_STEPS = 10 ** 6
 
 FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
@@ -116,6 +121,10 @@ def field_at(spec, tau):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Time grid: samples every dt * sample_every up to tau_max.  dt is the
+    RK4 step of a Custom field; built-in fields are propagated exactly, so
+    for them dt only sets the sample spacing.  Either way the grid is
+    bounded by MAX_STEPS steps of dt."""
     tau_max: float = 30.0
     dt: float = 1e-3
     sample_every: int = 10
@@ -238,14 +247,22 @@ def check_gate(dev, taus, tol, what):
             f"tau = {taus[outside.argmax()]:.6g}", worst)
 
 
-def _trajectory(r0, spec, gens, cfg, qubits):
-    """(taus, states, Bloch lengths) of classical fixed-step RK4 from the
-    `qubits`-qubit tensor r0 for dR/dtau = A(tau) R, where A is the stack
-    `gens` = [M_J; F_x; F_y; F_z] weighted by [1, h_x, h_y, h_z] of the base
-    field.  Raises AccuracyError if the Bloch length drifts beyond
-    GATE_TOL."""
-    r0 = pauli.check_normalized(r0, qubits)
-    n_steps, taus = cfg.grid()
+@functools.cache
+def _z_modes(qubits):
+    """(G_z, g, u) with 1j G_z = u diag(g) u^dag, read-only, for G_z the
+    generator of one common turn of every qubit about z, restricted to
+    `qubits` qubits."""
+    gz = stack((1.0, 1.0, 1.0), CouplingConstants(0.0, 0.0, 0.0))[3]
+    if qubits == 2:
+        gz = pair_block(gz)
+    g, u = np.linalg.eigh(1j * gz)
+    for a in (gz, g, u):
+        a.setflags(write=False)
+    return gz, g, u
+
+
+def _rk4(y, spec, gens, cfg, n_steps):
+    """Samples of classical fixed-step RK4 from y for dR/dtau = A(tau) R."""
     dt, every = cfg.dt, cfg.sample_every
     # the weights on the half-step grid, shape (2 n_steps + 1, 4)
     h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
@@ -257,8 +274,8 @@ def _trajectory(r0, spec, gens, cfg, qubits):
         # sum_j c[j] gens[j] @ y as one (m d x d) product and an m-term sum
         return c @ (flat @ y).reshape(m, d)
 
-    states = np.empty((len(taus), d))
-    states[0] = y = r0.ravel()
+    states = np.empty((n_steps // every + 1, d))
+    states[0] = y
     for step in range(n_steps):
         c0, ch, c1 = coeffs[2 * step:2 * step + 3]
         k1 = f(c0, y)
@@ -268,6 +285,47 @@ def _trajectory(r0, spec, gens, cfg, qubits):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (step + 1) % every == 0:
             states[(step + 1) // every] = y
+    return states
+
+
+# Samples per block of the rotating-frame path: bounds its complex
+# temporaries to a few MB on any grid.
+SAMPLE_BLOCK = 1024
+
+
+def _rotating_frame(y, spec, gens, taus, qubits):
+    """Exact samples from y for a built-in field turning about z at rate
+    nu: A(tau) = Z(-nu tau) A(0) Z(nu tau) with Z(phi) = exp(phi G_z), so
+    R(tau) = Z(-nu tau) exp(K tau) R(0) with the constant, real
+    antisymmetric K = A(0) + nu G_z, and one eigh of 1j K gives every
+    sample."""
+    nu = ROTATION[spec.kind]
+    gz, g, u = _z_modes(qubits)
+    a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
+    w, v = np.linalg.eigh(1j * (a0 + nu * gz))
+    c = v.conj().T @ y
+    m = v.T @ u.conj()
+    states = np.empty((len(taus), len(y)))
+    for s in range(0, len(taus), SAMPLE_BLOCK):
+        t = taus[s:s + SAMPLE_BLOCK, None]
+        z = ((np.exp(-1j * t * w) * c) @ m) * np.exp(1j * nu * t * g)
+        states[s:s + SAMPLE_BLOCK] = (z @ u.T).real
+    states[0] = y   # tau = 0 is r0 itself, as on the RK4 path
+    return states
+
+
+def _trajectory(r0, spec, gens, cfg, qubits):
+    """(taus, states, Bloch lengths) of dR/dtau = A(tau) R from the
+    `qubits`-qubit tensor r0, where A is the stack `gens` = [M_J; F_x; F_y;
+    F_z] weighted by [1, h_x, h_y, h_z] of the base field: exact in the
+    rotating frame for a built-in field, RK4 for a Custom one.  Raises
+    AccuracyError if the Bloch length drifts beyond GATE_TOL."""
+    r0 = pauli.check_normalized(r0, qubits)
+    n_steps, taus = cfg.grid()
+    if spec.kind in ROTATION:
+        states = _rotating_frame(r0.ravel(), spec, gens, taus, qubits)
+    else:
+        states = _rk4(r0.ravel(), spec, gens, cfg, n_steps)
     states = states.reshape((-1,) + r0.shape)
     b = pauli.bloch_length(states, qubits=qubits)
     what = {2: "two", 3: "three"}[qubits]
@@ -318,8 +376,9 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     rho0 = np.asarray(rho0, dtype=complex)
     pauli.validate_density(rho0)
     taus = np.asarray(taus, dtype=float)
-    if taus.size == 0 or not np.all(np.isfinite(taus)):
-        raise ValidationError(f"taus must be non-empty and finite, got {taus}")
+    if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus)):
+        raise ValidationError("taus must be 1-D, non-empty and finite, "
+                              f"got {taus}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     out = np.empty((len(taus), 8, 8), dtype=complex)

@@ -14,7 +14,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__, measures, pauli
-from .dynamics import (GATE_TOL, CouplingConstants, FieldSpec,
+from .dynamics import (GATE_TOL, ROTATION, CouplingConstants, FieldSpec,
                        IntegratorConfig, check_gate, integrate,
                        oracle_deviation)
 from .errors import ConfigError
@@ -147,7 +147,9 @@ def run_scenario(cfg, out_dir=None):
         v = getattr(cfg, f.name)
         man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
     b = ts.channels["b"]
+    # exact: rotating-frame propagation, dt sets only the sample spacing
     man.update(code_version=__version__,
+               method="exact" if spec.kind in ROTATION else "rk4",
                b_drift=f"{np.abs(b - b[0]).max():.3e}",
                tau_end=f"{ts.taus[-1]:.11e}")
     if cfg.oracle_check:

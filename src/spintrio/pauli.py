@@ -55,6 +55,10 @@ EXCHANGE_PN = 0.5 * sum(BASIS[0, i, i] for i in range(1, 4))
 
 PSD_TOL = 1e-10
 
+# Slack on the pure-state bound of the Bloch length: the drift the
+# integration's gate (dynamics.GATE_TOL) lets a trajectory keep.
+BLOCH_SLACK = 1e-8
+
 
 def build_hamiltonian(h_e, h_p, h_n, coupling):
     """Hamiltonian of three exchange-coupled qubits in fields h_e, h_p, h_n.
@@ -111,15 +115,22 @@ def rho_to_r(rho, validate=True):
 
 def check_normalized(r, qubits=3):
     """r as a float array; raises ValidationError unless it has `qubits`
-    axes of length 4 and its identity component r[0, ..., 0] is 1 (unit
-    trace), which NaN fails."""
+    axes of length 4, finite entries, its identity component r[0, ..., 0]
+    is 1 (unit trace) and its Bloch length is at most that of a pure state,
+    sqrt(2^qubits - 1), within BLOCH_SLACK."""
     r = np.asarray(r, dtype=float)
     if r.shape != (4,) * qubits:
         raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
                               f"got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("R tensor has non-finite entries")
     if not abs(r.flat[0] - 1.0) <= 1e-12:
         raise ValidationError(f"identity component is {r.flat[0]}, "
                               "expected 1")
+    b, pure = bloch_length(r, qubits), np.sqrt(2.0 ** qubits - 1)
+    if not b <= pure + BLOCH_SLACK:
+        raise ValidationError(f"Bloch length {b:.6g} exceeds {pure:.6g}, "
+                              "that of a pure state")
     return r
 
 

@@ -76,6 +76,15 @@ def reduced(rho, keep):
     return t.reshape(dim, dim)
 
 
+# Each built-in field at its defaults, written out independently as the
+# base field of a Custom one: these take the RK4 path.
+FIELD_COPIES = {
+    "R": lambda t: (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0),
+    "NR": lambda t: (-0.3 * np.cos(t), -0.3 * np.sin(t), -1.0),
+    "ConstantZ": lambda t: (0.0, 0.0, 1.0),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

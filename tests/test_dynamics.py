@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from spintrio import pauli
-from spintrio.dynamics import (MAX_STEPS, CouplingConstants, FieldSpec,
+from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
+                               CouplingConstants, FieldSpec,
                                IntegratorConfig, field_at, integrate,
                                integrate_two, oracle_deviation,
                                propagate_direct)
 from spintrio.errors import AccuracyError, ValidationError
 
-from conftest import random_pure
+from conftest import FIELD_COPIES
 
 SECT5 = CouplingConstants()  # (-0.2, -0.1, -0.3)
 
 # Each built-in field and a Custom field written out independently.
-BUILTIN_COPIES = pytest.mark.parametrize("kind, h", [
-    ("R", lambda t: (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0)),
-    ("NR", lambda t: (-0.3 * np.cos(t), -0.3 * np.sin(t), -1.0)),
-    ("ConstantZ", lambda t: (0.0, 0.0, 1.0)),
-], ids=["R", "NR", "ConstantZ"])
+BUILTIN_COPIES = pytest.mark.parametrize("kind, h", list(FIELD_COPIES.items()),
+                                         ids=list(FIELD_COPIES))
+BUILTIN_KINDS = pytest.mark.parametrize("kind", list(FIELD_COPIES))
+ALL_STATES = pytest.mark.parametrize("name, x", [
+    (n, 2 / 3 if n == "Mix" else None) for n in pauli.STATE_NAMES],
+    ids=list(pauli.STATE_NAMES))
 
 
 class TestFieldAt:
@@ -127,9 +129,11 @@ class TestIntegrate:
         assert np.abs(p - np.sin(0.15 * ts.taus) ** 2).max() < 1e-6
 
     def test_accuracy_error_on_coarse_step(self):
+        # RK4 on the Custom copy of R; the built-in R is exact at any dt
         _, r0 = pauli.initial_state("GHZ")
+        custom = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
         with pytest.raises(AccuracyError) as info:
-            integrate(r0, FieldSpec(kind="R"), SECT5,
+            integrate(r0, custom, SECT5,
                       IntegratorConfig(tau_max=30.0, dt=0.1, sample_every=1))
         assert info.value.magnitude > 1e-8
 
@@ -143,15 +147,46 @@ class TestIntegrate:
                 integrate(r0, FieldSpec(kind="R"), SECT5,
                           IntegratorConfig(tau_max=0.1))
 
+    @pytest.mark.parametrize("value, message", [
+        (5.0, "exceeds 2.64575"), (np.nan, "non-finite"),
+        (np.inf, "non-finite")], ids=["too_long", "nan", "inf"])
+    def test_rejects_start_tensor_that_is_no_state(self, value, message):
+        # GHZ with one Bloch component out of reach of any density matrix
+        _, r0 = pauli.initial_state("GHZ")
+        r0[1, 0, 0] = value
+        with pytest.raises(ValidationError, match=message):
+            integrate(r0, FieldSpec(kind="R"), SECT5,
+                      IntegratorConfig(tau_max=0.1))
+
     @BUILTIN_COPIES
     def test_custom_field_matches_builtin(self, kind, h):
-        _, r0 = pauli.initial_state("W")
+        # the copy is the same field; its RK4 run meets the exact one
+        taus = np.arange(0, 201) * 0.01
         builtin = FieldSpec(kind=kind)
         custom = FieldSpec(kind="Custom", custom=h)
+        for a, b in zip(field_at(builtin, taus), field_at(custom, taus)):
+            assert np.abs(a - b).max() < 1e-15
+        _, r0 = pauli.initial_state("W")
         cfg = IntegratorConfig(tau_max=2.0)
-        a = integrate(r0, builtin, SECT5, cfg)
-        b = integrate(r0, custom, SECT5, cfg)
-        assert np.abs(a.states - b.states).max() < 1e-12
+        exact = integrate(r0, builtin, SECT5, cfg)
+        rk4 = integrate(r0, custom, SECT5, cfg)
+        assert np.abs(rk4.states - exact.states).max() < GATE_TOL
+
+    @ALL_STATES
+    @BUILTIN_KINDS
+    def test_exact_path_matches_oracle(self, name, x, kind):
+        rho0, r0 = pauli.initial_state(name, x)
+        spec = FieldSpec(kind=kind)
+        ts = integrate(r0, spec, SECT5)
+        assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
+
+    def test_grid_longer_than_one_block(self):
+        rho0, r0 = pauli.initial_state("GHZ")
+        spec = FieldSpec(kind="NR")
+        ts = integrate(r0, spec, SECT5,
+                       IntegratorConfig(tau_max=41.0, dt=0.01, sample_every=1))
+        assert len(ts.taus) > SAMPLE_BLOCK
+        assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
 
     def test_nan_field_trips_drift_gate(self):
         _, r0 = pauli.initial_state("GHZ")
@@ -189,6 +224,30 @@ class TestIntegrateTwo:
             with pytest.raises(ValidationError):
                 integrate_two(r2_0, FieldSpec(kind="R"), -0.2,
                               IntegratorConfig(tau_max=0.1))
+
+    def test_exact_path_matches_oracle(self):
+        # Bell pair on (e, p) x up on n, n decoupled: the pair block of the
+        # exact three-qubit propagation
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = 1 / np.sqrt(2)
+        rho2 = np.outer(bell, bell.conj())
+        up = np.array([[1, 0], [0, 0]], dtype=complex)
+        rho3 = np.kron(rho2, up)
+        coupling = CouplingConstants(-0.2, 0.0, 0.0)
+        r2_0 = pauli.rho_to_r(rho3)[:, :, 0]
+        for kind in FIELD_COPIES:
+            spec = FieldSpec(kind=kind)
+            taus, states2 = integrate_two(r2_0, spec, -0.2)
+            rhos = propagate_direct(rho3, spec, coupling, taus)
+            exact = pauli.rho_to_r(rhos, validate=False)[..., 0]
+            assert np.abs(states2 - exact).max() < 1e-12
+
+    def test_rejects_pair_tensor_that_is_no_state(self):
+        r2_0 = np.zeros((4, 4))
+        r2_0[0, 0], r2_0[1, 1] = 1.0, 2.0   # Bloch length 2 > sqrt(3)
+        with pytest.raises(ValidationError, match="exceeds 1.73205"):
+            integrate_two(r2_0, FieldSpec(kind="R"), -0.2,
+                          IntegratorConfig(tau_max=0.1))
 
     def test_nan_exchange_fails_at_construction(self):
         r2_0 = np.zeros((4, 4))
@@ -262,9 +321,9 @@ class TestPropagateDirect:
     @pytest.mark.parametrize("taus, dt", [
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),
         ([0.0, 0.5], -1e-3), ([0.0, 0.5], 0.0), ([0.0, 0.5], np.inf),
-        ([0.0, 0.5], np.nan),
+        ([0.0, 0.5], np.nan), ([[0.0, 0.1]], 1e-3),
     ], ids=["empty", "tau_nan", "tau_inf", "dt_negative", "dt_zero",
-            "dt_inf", "dt_nan"])
+            "dt_inf", "dt_nan", "not_1d"])
     def test_rejects_bad_grid_or_step(self, taus, dt):
         rho0, _ = pauli.initial_state("W")
         custom = FieldSpec(kind="Custom",

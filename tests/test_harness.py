@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from spintrio import cli, measures, pauli
+from spintrio import cli, harness, measures, pauli
+from spintrio.dynamics import FieldSpec, integrate
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
-                              preset_configs, run_preset, run_scenario)
+                              preset_configs, run_preset, run_scenario,
+                              with_overrides)
+
+from conftest import FIELD_COPIES
 
 FAST = dict(tau_max=2.0)
 
@@ -115,6 +119,7 @@ class TestRunScenario:
         mtext = (tmp_path / "short.csv.manifest.txt").read_text()
         assert "b_drift" in mtext
         assert "code_version" in mtext
+        assert man["method"] == "exact"
         # the manifest records the last sampled tau, as written in the CSV
         assert f"tau_end = {lines[-1].split(',')[0]}" in mtext
         assert float(man["tau_end"]) == pytest.approx(ts.taus[-1])
@@ -163,7 +168,12 @@ class TestRunPreset:
         # the coupled run's manifest plus what differs in the free run
         assert entries["name"] == "figure3" and entries["j_en"] == "-0.1"
         assert entries["j_en_free"] == entries["j_pn_free"] == "0.0"
-        assert "b_drift_free" in entries
+        # every entry of the free run is there, suffixed where it differs
+        _, man_f = run_scenario(with_overrides(preset_configs("figure3")[1],
+                                               tau_max=2.0))
+        for k, v in man_f.items():
+            if k != "wall_time_s":
+                assert entries.get(f"{k}_free", entries[k]) == str(v)
 
     def test_rabi_preset(self, tmp_path):
         (path,) = run_preset("rabi-check", tmp_path, tau_max=2.0)
@@ -260,9 +270,17 @@ class TestCli:
             assert message in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfgfile]
 
-    def test_oracle_gate_names_first_tau(self, tmp_path, capsys):
-        # RK4 at dt = 0.002 keeps the Bloch length (drift 8.3e-10) but
-        # leaves the exact answer by 4.7e-8, first at tau = 7.27
+    def test_oracle_gate_names_first_tau(self, tmp_path, capsys,
+                                         monkeypatch):
+        # RK4 at dt = 0.002 on the Custom copy of R keeps the Bloch length
+        # (drift 8.3e-10) but leaves the exact answer by 4.7e-8, first at
+        # tau = 7.27; the run itself would propagate R exactly
+        def rk4_copy(r0, spec, coupling, cfg):
+            assert spec == FieldSpec(kind="R")
+            copy = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
+            return integrate(r0, copy, coupling, cfg)
+
+        monkeypatch.setattr(harness, "integrate", rk4_copy)
         cfgfile = tmp_path / "trip.cfg"
         cfgfile.write_text("name = trip\ninitial = GHZ\nfield_kind = R\n"
                            "dt = 0.002\nsample_every = 5\ntau_max = 30\n")
