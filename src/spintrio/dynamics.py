@@ -4,11 +4,13 @@ propagation, and an independent complex density-matrix oracle propagator.
 All times are dimensionless (tau = omega t); fields and exchange constants are
 expressed in units of the drive frequency omega.
 
-rhs_three is the one definition of the 63 equations: seven einsum blocks
-(local Bloch vectors, the three pair-correlation tensors, the triple tensor).
-It is linear in the state and in (h, J), so the 64 unit tensors give twelve
-64x64 generators, one per field component per qubit and one per exchange
-constant.  For a base field h(tau) seen by qubit q as multipliers[q] * h(tau),
+rhs_three is the one definition of the 63 equations, built from the real
+structure constants of the Pauli algebra: each qubit's slot precesses about
+its field, and the two slots of each pair exchange through one (4, 4, 4, 4)
+operator.  It is linear in the state and in (h, J), so the 64 unit tensors
+give twelve 64x64 generators, one per field component per qubit and one per
+exchange constant.  For a base field h(tau) seen by qubit q as
+multipliers[q] * h(tau),
 
     A(tau) = M_J + h_x(tau) F_x + h_y(tau) F_y + h_z(tau) F_z,
 
@@ -31,10 +33,7 @@ import numpy as np
 
 from . import pauli
 from .errors import AccuracyError, ValidationError
-
-# Tolerance of both accuracy gates: the Bloch-length drift of an integration
-# and the oracle deviation of a run.
-GATE_TOL = 1e-8
+from .pauli import GATE_TOL
 
 # Most steps of dt on one grid (RK4 steps on a Custom field): 33x the
 # default run, 512 MB of samples at sample_every = 1.
@@ -46,8 +45,15 @@ FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 # V(tau)^dag with V(tau) = exp(i nu tau S_z), S_z the total spin component.
 ROTATION = {"R": 1, "NR": -1, "ConstantZ": 0}
 
-# pauli.EPS on indices 1..3, copied: einsum is slower on the strided view.
-EPS3 = np.ascontiguousarray(pauli.EPS[1:, 1:, 1:])
+# Real structure constants of the Pauli algebra: with sigma_0 = 1,
+# sigma_a sigma_b = sum_c (DELTA[a, b, c] + i EPS[a, b, c]) sigma_c.
+DELTA = np.zeros((4, 4, 4))
+DELTA[0] = DELTA[:, 0] = DELTA[:, :, 0] = np.eye(4)
+
+# d r[a, b] / dtau = J EXCHANGE[a, b, c, d] r[c, d] for a pair coupled by
+# J/2 sum_i sigma_i x sigma_i: its commutator's DELTA x EPS + EPS x DELTA.
+EXCHANGE = (np.einsum('aic,bid->abcd', DELTA, pauli.EPS)
+            + np.einsum('aic,bid->abcd', pauli.EPS, DELTA))
 
 # Flat indices of the (a, b, 0) components of a 4x4x4 tensor.
 PAIR = np.arange(16) * 4
@@ -141,7 +147,7 @@ class IntegratorConfig:
                              "dt * sample_every")
         if n_samp * self.sample_every > MAX_STEPS:
             raise ValueError(f"tau_max / dt asks for more than {MAX_STEPS} "
-                             "RK4 steps")
+                             "steps of dt")
 
     def grid(self):
         """(n_steps, sampled tau grid); tau_max is rounded to a whole number
@@ -162,50 +168,15 @@ class TimeSeries:
 
 def rhs_three(r, he, hp, hn, coupling):
     """dR/dtau of the 63-equation system for a (..., 4, 4, 4) stack of
-    tensors; r[..., 0, 0, 0] has zero derivative."""
-    e = EPS3
-    jep, jen, jpn = coupling.j_ep, coupling.j_en, coupling.j_pn
-    out = np.zeros(np.shape(r))
-    rq00 = r[..., 1:, 0, 0]
-    r0q0 = r[..., 0, 1:, 0]
-    r00q = r[..., 0, 0, 1:]
-    rqk0 = r[..., 1:, 1:, 0]
-    rq0k = r[..., 1:, 0, 1:]
-    r0qk = r[..., 0, 1:, 1:]
-    rqkl = r[..., 1:, 1:, 1:]
-    out[..., 1:, 0, 0] = (np.einsum('ilq,i,...l->...q', e, he, rq00)
-                          + np.einsum('mlq,...lm->...q', e,
-                                      jep * rqk0 + jen * rq0k))
-    out[..., 0, 1:, 0] = (np.einsum('ilq,i,...l->...q', e, hp, r0q0)
-                          + jep * np.einsum('mlq,...ml->...q', e, rqk0)
-                          + jpn * np.einsum('mlq,...lm->...q', e, r0qk))
-    out[..., 0, 0, 1:] = (np.einsum('ilq,i,...l->...q', e, hn, r00q)
-                          + np.einsum('lmq,...lm->...q', e,
-                                      jen * rq0k + jpn * r0qk))
-    out[..., 1:, 1:, 0] = (np.einsum('ilq,i,...lk->...qk', e, he, rqk0)
-                           + np.einsum('imk,i,...qm->...qk', e, hp, rqk0)
-                           + jep * np.einsum('kmq,...m->...qk', e, rq00 - r0q0)
-                           + jen * np.einsum('lmq,...mkl->...qk', e, rqkl)
-                           + jpn * np.einsum('lmk,...qml->...qk', e, rqkl))
-    out[..., 1:, 0, 1:] = (np.einsum('ilq,i,...lk->...qk', e, he, rq0k)
-                           + np.einsum('imk,i,...qm->...qk', e, hn, rq0k)
-                           + jen * np.einsum('qmk,...m->...qk', e, r00q - rq00)
-                           + jep * np.einsum('lmq,...mlk->...qk', e, rqkl)
-                           + jpn * np.einsum('lmk,...qlm->...qk', e, rqkl))
-    out[..., 0, 1:, 1:] = (np.einsum('ilq,i,...lk->...qk', e, hp, r0qk)
-                           + np.einsum('imk,i,...qm->...qk', e, hn, r0qk)
-                           + jpn * np.einsum('qmk,...m->...qk', e, r00q - r0q0)
-                           + jep * np.einsum('lmq,...lmk->...qk', e, rqkl)
-                           + jen * np.einsum('lmk,...lqm->...qk', e, rqkl))
-    out[..., 1:, 1:, 1:] = (
-        np.einsum('imq,i,...mkl->...qkl', e, he, rqkl)
-        + np.einsum('imk,i,...qml->...qkl', e, hp, rqkl)
-        + np.einsum('iml,i,...qkm->...qkl', e, hn, rqkl)
-        + jep * np.einsum('kmq,...ml->...qkl', e, rq0k - r0qk)
-        + jen * (np.einsum('qml,...km->...qkl', e, r0qk)
-                 - np.einsum('qml,...mk->...qkl', e, rqk0))
-        + jpn * np.einsum('kml,...qm->...qkl', e, rq0k - rqk0))
-    return out
+    tensors: each slot precesses about its qubit's field, d r_a = (h x r)_a,
+    and each pair exchanges through EXCHANGE; r[..., 0, 0, 0] is constant."""
+    e, x = pauli.EPS[1:], EXCHANGE
+    return (np.einsum('ica,i,...cyz->...ayz', e, he, r)
+            + np.einsum('ica,i,...ycz->...yaz', e, hp, r)
+            + np.einsum('ica,i,...yzc->...yza', e, hn, r)
+            + coupling.j_ep * np.einsum('abcd,...cdz->...abz', x, r)
+            + coupling.j_en * np.einsum('abcd,...cyd->...ayb', x, r)
+            + coupling.j_pn * np.einsum('abcd,...ycd->...yab', x, r))
 
 
 @functools.cache
@@ -288,8 +259,8 @@ def _rk4(y, spec, gens, cfg, n_steps):
     return states
 
 
-# Samples per block of the rotating-frame path: bounds its complex
-# temporaries to a few MB on any grid.
+# Samples per block of the rotating-frame path and of the oracle check:
+# bounds their complex temporaries to a few MB on any grid.
 SAMPLE_BLOCK = 1024
 
 
@@ -409,7 +380,16 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
 def oracle_deviation(ts, rho0, spec, coupling):
     """Per sample, the max abs difference between the integrated R tensors
-    and the direct propagation converted to R form."""
-    rhos = propagate_direct(rho0, spec, coupling, ts.taus)
-    dev = np.abs(ts.states - pauli.rho_to_r(rhos, validate=False))
-    return dev.reshape(len(dev), -1).max(axis=1)
+    and the direct propagation converted to R form.  The grid is walked in
+    blocks of SAMPLE_BLOCK samples, each propagated from the last state of
+    the block before, so memory stays bounded on any grid."""
+    dev, rho = np.empty(len(ts.taus)), rho0
+    for s in range(0, len(dev), SAMPLE_BLOCK):
+        first = max(s - 1, 0)   # the sample whose state rho is
+        rhos = propagate_direct(rho, spec, coupling,
+                                ts.taus[first:s + SAMPLE_BLOCK])[s - first:]
+        d = np.abs(ts.states[s:s + SAMPLE_BLOCK]
+                   - pauli.rho_to_r(rhos, validate=False))
+        dev[s:s + SAMPLE_BLOCK] = d.reshape(len(d), -1).max(axis=1)
+        rho = rhos[-1]
+    return dev

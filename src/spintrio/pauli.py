@@ -55,9 +55,9 @@ EXCHANGE_PN = 0.5 * sum(BASIS[0, i, i] for i in range(1, 4))
 
 PSD_TOL = 1e-10
 
-# Slack on the pure-state bound of the Bloch length: the drift the
-# integration's gate (dynamics.GATE_TOL) lets a trajectory keep.
-BLOCH_SLACK = 1e-8
+# Tolerance of both accuracy gates (Bloch-length drift, oracle deviation);
+# also the slack on the pure-state bound of a start tensor's Bloch length.
+GATE_TOL = 1e-8
 
 
 def build_hamiltonian(h_e, h_p, h_n, coupling):
@@ -117,7 +117,7 @@ def check_normalized(r, qubits=3):
     """r as a float array; raises ValidationError unless it has `qubits`
     axes of length 4, finite entries, its identity component r[0, ..., 0]
     is 1 (unit trace) and its Bloch length is at most that of a pure state,
-    sqrt(2^qubits - 1), within BLOCH_SLACK."""
+    sqrt(2^qubits - 1), within GATE_TOL."""
     r = np.asarray(r, dtype=float)
     if r.shape != (4,) * qubits:
         raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
@@ -128,7 +128,7 @@ def check_normalized(r, qubits=3):
         raise ValidationError(f"identity component is {r.flat[0]}, "
                               "expected 1")
     b, pure = bloch_length(r, qubits), np.sqrt(2.0 ** qubits - 1)
-    if not b <= pure + BLOCH_SLACK:
+    if not b <= pure + GATE_TOL:
         raise ValidationError(f"Bloch length {b:.6g} exceeds {pure:.6g}, "
                               "that of a pure state")
     return r

@@ -1,8 +1,14 @@
 """Field models, trajectory integration, and the direct-propagation oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import spintrio
 from spintrio import pauli
 from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
                                CouplingConstants, FieldSpec,
@@ -82,7 +88,7 @@ class TestIntegratorConfig:
     def test_step_limit(self):
         # construction only: a grid at the limit would take 512 MB
         assert IntegratorConfig(tau_max=MAX_STEPS * 1e-3).sample_every == 10
-        with pytest.raises(ValueError, match="RK4 steps"):
+        with pytest.raises(ValueError, match="more than 1000000 steps of dt"):
             IntegratorConfig(tau_max=(MAX_STEPS + 10) * 1e-3)
 
 
@@ -291,6 +297,42 @@ class TestPropagateDirect:
         dev = oracle_deviation(ts, rho0, spec, SECT5)
         assert dev.shape == ts.taus.shape
         assert dev.max() < 1e-8
+
+    @pytest.mark.parametrize("custom", [None, FIELD_COPIES["R"]],
+                             ids=["R", "R_copy"])
+    def test_blocked_deviation_matches_whole_grid(self, custom):
+        # each block of the oracle restarts from the block before's last state
+        rho0, r0 = pauli.initial_state("GHZ")
+        spec = FieldSpec(kind="Custom" if custom else "R", custom=custom)
+        ts = integrate(r0, spec, SECT5,
+                       IntegratorConfig(tau_max=2.5, sample_every=1))
+        assert len(ts.taus) > 2 * SAMPLE_BLOCK
+        whole = pauli.rho_to_r(propagate_direct(rho0, spec, SECT5, ts.taus),
+                               validate=False)
+        dev = np.abs(ts.states - whole).reshape(len(whole), -1).max(axis=1)
+        blocked = oracle_deviation(ts, rho0, spec, SECT5)
+        assert np.abs(blocked - dev).max() < 1e-13
+
+    def test_oracle_memory_is_bounded(self):
+        # 10^5 samples, whose whole-grid complex arrays take about 400 MB
+        code = textwrap.dedent("""
+            import resource
+            from spintrio import pauli
+            from spintrio.dynamics import (CouplingConstants, FieldSpec,
+                                           IntegratorConfig, integrate,
+                                           oracle_deviation)
+            rho0, r0 = pauli.initial_state("GHZ")
+            spec, coupling = FieldSpec(kind="R"), CouplingConstants()
+            ts = integrate(r0, spec, coupling,
+                           IntegratorConfig(tau_max=100.0, sample_every=1))
+            assert oracle_deviation(ts, rho0, spec, coupling).max() < 1e-8
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+        src = os.path.dirname(os.path.dirname(spintrio.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 200 * 1024   # ru_maxrss is in KiB on Linux
 
     def test_restart_from_a_later_sample(self):
         # rho0 is the state at taus[0], which need not be 0

@@ -234,8 +234,8 @@ class TestCli:
         ("name = \xff", "can't decode byte 0xff"),
         ("output_path = ../../escaped.csv", "unknown key 'output_path'"),
         ("sample_every = 1" + "0" * 400, "too large to convert to float"),
-        ("tau_max = 1e300", "more than 1000000 RK4 steps"),
-        ("tau_max = 1e7", "more than 1000000 RK4 steps"),
+        ("tau_max = 1e300", "more than 1000000 steps of dt"),
+        ("tau_max = 1e7", "more than 1000000 steps of dt"),
         ("field_kind = Custom", "Custom field requires a callable"),
         ("tau_max = 0.1\ntau_max = 0.05",
          "line 2: key 'tau_max' already set on line 1"),

@@ -85,6 +85,17 @@ class TestRhsThree:
                           CouplingConstants(*coeffs[9:]))
             assert np.abs(a - b.ravel()).max() < 1e-14
 
+    def test_generators_equal_commutator_bit_for_bit(self):
+        # column w of each generator is the commutator's derivative of the
+        # w-th unit tensor; every entry is -1, 0 or 1, so both are exact
+        units = np.eye(64).reshape(64, 4, 4, 4)
+        ref = np.stack([
+            np.stack([commutator_rhs3(u, c[0:3], c[3:6], c[6:9],
+                                      CouplingConstants(*c[9:])).ravel()
+                      for u in units], axis=1)
+            for c in np.eye(12)])
+        assert np.array_equal(generators(), ref)
+
 
 class TestRhsTwo:
     def test_trivial_is_stationary(self, rng):
