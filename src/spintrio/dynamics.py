@@ -259,8 +259,8 @@ def _rk4(y, spec, gens, cfg, n_steps):
     return states
 
 
-# Samples per block of the rotating-frame path and of the oracle check:
-# bounds their complex temporaries to a few MB on any grid.
+# Samples per block of the rotating-frame path and of the oracle check, and
+# Magnus steps per block: bounds their complex temporaries to a few MB.
 SAMPLE_BLOCK = 1024
 
 
@@ -342,9 +342,12 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     one eigendecomposition gives every tau.  Custom fields take steps of at
     most dt (dt bounds nothing else) of the 4th-order commutator-free Magnus
     method: two exponentials at the Gauss nodes (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)).
+    Phys. Rep. 470, 151 (2009)).  The steps are built SAMPLE_BLOCK at a
+    time, with one stacked eigh per block, so memory is bounded on any gap.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (8, 8):
+        raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho0.shape}")
     pauli.validate_density(rho0)
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus)):
@@ -355,17 +358,22 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     out = np.empty((len(taus), 8, 8), dtype=complex)
     out[0] = rho = rho0
     if spec.kind == "Custom":
-        for k in range(1, len(taus)):
-            n = max(1, math.ceil(abs(taus[k] - taus[k - 1]) / dt - 1e-12))
-            h = (taus[k] - taus[k - 1]) / n
-            for j in range(n):
-                ham = pauli.build_hamiltonian(
-                    *field_at(spec, taus[k - 1] + (j + _GAUSS) * h), coupling)
-                w, v = np.linalg.eigh(np.tensordot(_MAGNUS, ham, axes=1))
-                u = v * np.exp(-1j * h * w)[:, None] @ v.conj().swapaxes(1, 2)
-                u = u[0] @ u[1]
-                rho = u @ rho @ u.conj().T
-            out[k] = rho
+        # n[k] steps of length h[k] from taus[k] to taus[k + 1]
+        gap = np.diff(taus)
+        n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12)).astype(int)
+        h, ends = gap / n, np.cumsum(n)
+        for s in range(0, int(n.sum()), SAMPLE_BLOCK):
+            i = np.arange(s, min(s + SAMPLE_BLOCK, ends[-1]))
+            k = np.searchsorted(ends, i, side="right")   # step i's gap
+            j, hk = i - ends[k] + n[k], h[k, None]
+            t = taus[k, None] + (j[:, None] + _GAUSS) * hk
+            ham = pauli.build_hamiltonian(*field_at(spec, t), coupling)
+            w, v = np.linalg.eigh(np.tensordot(_MAGNUS, ham, axes=(1, 1)))
+            u = v * np.exp(-1j * hk * w)[:, :, None] @ v.conj().swapaxes(2, 3)
+            for uk, k1, last in zip(u[0] @ u[1], k + 1, i + 1 == ends[k]):
+                rho = uk @ rho @ uk.conj().T
+                if last:
+                    out[k1] = rho
         return out
     nu = ROTATION[spec.kind]
     sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real

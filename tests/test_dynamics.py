@@ -1,5 +1,6 @@
 """Field models, trajectory integration, and the direct-propagation oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import spintrio
-from spintrio import pauli
+from spintrio import dynamics, pauli
 from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
                                CouplingConstants, FieldSpec,
                                IntegratorConfig, field_at, integrate,
@@ -28,6 +29,18 @@ BUILTIN_KINDS = pytest.mark.parametrize("kind", list(FIELD_COPIES))
 ALL_STATES = pytest.mark.parametrize("name, x", [
     (n, 2 / 3 if n == "Mix" else None) for n in pauli.STATE_NAMES],
     ids=list(pauli.STATE_NAMES))
+
+
+def peak_rss_kib(code):
+    """Peak resident set size, in KiB on Linux, of a fresh interpreter that
+    imports this spintrio and runs `code`."""
+    code += ("import resource\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(spintrio.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return int(subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout)
 
 
 class TestFieldAt:
@@ -316,7 +329,6 @@ class TestPropagateDirect:
     def test_oracle_memory_is_bounded(self):
         # 10^5 samples, whose whole-grid complex arrays take about 400 MB
         code = textwrap.dedent("""
-            import resource
             from spintrio import pauli
             from spintrio.dynamics import (CouplingConstants, FieldSpec,
                                            IntegratorConfig, integrate,
@@ -326,13 +338,8 @@ class TestPropagateDirect:
             ts = integrate(r0, spec, coupling,
                            IntegratorConfig(tau_max=100.0, sample_every=1))
             assert oracle_deviation(ts, rho0, spec, coupling).max() < 1e-8
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """)
-        src = os.path.dirname(os.path.dirname(spintrio.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert int(out) < 200 * 1024   # ru_maxrss is in KiB on Linux
+        assert peak_rss_kib(code) < 200 * 1024
 
     def test_restart_from_a_later_sample(self):
         # rho0 is the state at taus[0], which need not be 0
@@ -359,6 +366,64 @@ class TestPropagateDirect:
     def test_rejects_bad_density(self):
         with pytest.raises(ValidationError):
             propagate_direct(np.eye(8), FieldSpec(kind="R"), SECT5, [0.0])
+
+    @pytest.mark.parametrize("kind", ["R", "Custom"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_rejects_a_stack_of_densities(self, kind, count):
+        rho0, _ = pauli.initial_state("W")
+        spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])
+        with pytest.raises(ValidationError, match="one 8x8"):
+            propagate_direct(np.stack([rho0] * count), spec, SECT5,
+                             [0.0, 0.1])
+
+    def test_magnus_blocks_match_per_step_loop(self):
+        # a zero gap, a backward gap, gaps that are not multiples of dt and
+        # a gap of 1477 steps, which straddles a boundary of the step blocks
+        taus = np.array([0.0, 0.2, 0.2, 0.1, 0.1234, 1.6, 2.0])
+        rho0, _ = pauli.initial_state("W")
+        # a drive off resonance, which no built-in field matches
+        spec = FieldSpec(kind="Custom", custom=lambda t: (
+            -0.303 * np.cos(1.007 * t), 0.303 * np.sin(1.007 * t), -1.0))
+        dt = 1e-3
+        steps = [max(1, math.ceil(abs(b - a) / dt - 1e-12))
+                 for a, b in zip(taus, taus[1:])]
+        assert max(steps) > SAMPLE_BLOCK and steps[1] == 1
+
+        # the per-step Magnus loop, one step at a time
+        g, m = dynamics._GAUSS, dynamics._MAGNUS
+        ref = np.empty((len(taus), 8, 8), dtype=complex)
+        ref[0] = rho = rho0
+        for k in range(1, len(taus)):
+            n = max(1, math.ceil(abs(taus[k] - taus[k - 1]) / dt - 1e-12))
+            h = (taus[k] - taus[k - 1]) / n
+            for j in range(n):
+                ham = pauli.build_hamiltonian(
+                    *field_at(spec, taus[k - 1] + (j + g) * h), SECT5)
+                w, v = np.linalg.eigh(np.tensordot(m, ham, axes=1))
+                u = v * np.exp(-1j * h * w)[:, None] @ v.conj().swapaxes(1, 2)
+                u = u[0] @ u[1]
+                rho = u @ rho @ u.conj().T
+            ref[k] = rho
+        out = propagate_direct(rho0, spec, SECT5, taus, dt=dt)
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_magnus_memory_is_bounded(self):
+        # one gap of 5 * 10^4 Magnus steps, whose step unitaries alone
+        # would take about 100 MB if built at once
+        code = textwrap.dedent("""
+            import numpy as np
+            from spintrio import pauli
+            from spintrio.dynamics import (CouplingConstants, FieldSpec,
+                                           propagate_direct)
+            rho0, _ = pauli.initial_state("W")
+            spec = FieldSpec(kind="Custom",
+                             custom=lambda t: (-0.3 * np.cos(t),
+                                               0.3 * np.sin(t), -1.0))
+            out = propagate_direct(rho0, spec, CouplingConstants(),
+                                   [0.0, 5.0], dt=1e-4)
+            assert abs(np.trace(out[1]) - 1) < 1e-10
+        """)
+        assert peak_rss_kib(code) < 200 * 1024
 
     @pytest.mark.parametrize("taus, dt", [
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),
