@@ -220,16 +220,14 @@ def check_gate(dev, taus, tol, what):
 
 @functools.cache
 def _z_modes(qubits):
-    """(G_z, g, u) with 1j G_z = u diag(g) u^dag, read-only, for G_z the
-    generator of one common turn of every qubit about z, restricted to
-    `qubits` qubits."""
+    """(G_z, odd) on `qubits` qubits, read-only: G_z turns every qubit
+    about z, odd marks the components with an odd number of y slots."""
     gz = stack((1.0, 1.0, 1.0), CouplingConstants(0.0, 0.0, 0.0))[3]
-    if qubits == 2:
-        gz = pair_block(gz)
-    g, u = np.linalg.eigh(1j * gz)
-    for a in (gz, g, u):
+    gz = pair_block(gz) if qubits == 2 else gz
+    odd = (np.indices((4,) * qubits) == 2).sum(axis=0).ravel() % 2 == 1
+    for a in (gz, odd):
         a.setflags(write=False)
-    return gz, g, u
+    return gz, odd
 
 
 def _rk4(y, spec, gens, cfg, n_steps):
@@ -259,28 +257,37 @@ def _rk4(y, spec, gens, cfg, n_steps):
     return states
 
 
-# Samples per block of the rotating-frame path and of the oracle check, and
-# Magnus steps per block: bounds their complex temporaries to a few MB.
+# Samples per block of the rotating-frame path (real) and of the oracle check
+# and Magnus steps per block (complex): bounds their temporaries to a few MB.
 SAMPLE_BLOCK = 1024
 
 
 def _rotating_frame(y, spec, gens, taus, qubits):
     """Exact samples from y for a built-in field turning about z at rate
-    nu: A(tau) = Z(-nu tau) A(0) Z(nu tau) with Z(phi) = exp(phi G_z), so
-    R(tau) = Z(-nu tau) exp(K tau) R(0) with the constant, real
-    antisymmetric K = A(0) + nu G_z, and one eigh of 1j K gives every
-    sample."""
+    nu: R(tau) = Z(-nu tau) exp(K tau) R(0), Z(phi) = exp(phi G_z), with
+    K = A(0) + nu G_z constant.  K is real (the field has no y component at
+    tau = 0) and flips the parity of the number of y slots: K = [[0, B],
+    [-B^T, 0]] on (even, odd).  With B = U S V^T, U^T y_even and V^T y_odd
+    turn into each other at the rates S; Z(-nu tau) turns each (x, y) pair."""
     nu = ROTATION[spec.kind]
-    gz, g, u = _z_modes(qubits)
+    gz, odd = _z_modes(qubits)
     a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
-    w, v = np.linalg.eigh(1j * (a0 + nu * gz))
-    c = v.conj().T @ y
-    m = v.T @ u.conj()
+    u, w, vt = np.linalg.svd((a0 + nu * gz)[~odd][:, odd])
+    e, o = np.zeros((2, len(w), len(y)))
+    e[:, ~odd], o[:, odd] = u[:, :len(w)].T, vt
+    a, b = (e @ y)[:, None], (o @ y)[:, None]
+    rest = np.where(odd, 0.0, y) - (a * e).sum(axis=0)   # U's null columns
+    mc, ms = a * e + b * o, b * e - a * o
     states = np.empty((len(taus), len(y)))
     for s in range(0, len(taus), SAMPLE_BLOCK):
         t = taus[s:s + SAMPLE_BLOCK, None]
-        z = ((np.exp(-1j * t * w) * c) @ m) * np.exp(1j * nu * t * g)
-        states[s:s + SAMPLE_BLOCK] = (z @ u.T).real
+        block = states[s:s + SAMPLE_BLOCK]
+        block[:] = np.cos(t * w) @ mc + np.sin(t * w) @ ms + rest
+        c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
+        for q in range(qubits):   # the slot of qubit q is axis 2 of v
+            v = block.reshape(len(t), 4 ** q, 4, -1)
+            px, py = v[:, :, 1], v[:, :, 2]
+            v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
     states[0] = y   # tau = 0 is r0 itself, as on the RK4 path
     return states
 
@@ -340,10 +347,10 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     Built-in fields are exact: in the frame V(tau) = exp(i nu tau S_z) that
     turns with the field the Hamiltonian is the constant H(0) + nu S_z, so
     one eigendecomposition gives every tau.  Custom fields take steps of at
-    most dt (dt bounds nothing else) of the 4th-order commutator-free Magnus
-    method: two exponentials at the Gauss nodes (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)).  The steps are built SAMPLE_BLOCK at a
-    time, with one stacked eigh per block, so memory is bounded on any gap.
+    most dt, at most MAX_STEPS in all, of the 4th-order commutator-free
+    Magnus method: two exponentials at the Gauss nodes (Blanes, Casas, Oteo
+    & Ros, Phys. Rep. 470, 151 (2009)).  The steps are built SAMPLE_BLOCK at
+    a time, with one stacked eigh per block, so memory is bounded on any gap.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (8, 8):
@@ -355,13 +362,16 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                               f"got {taus}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
-    out = np.empty((len(taus), 8, 8), dtype=complex)
-    out[0] = rho = rho0
     if spec.kind == "Custom":
         # n[k] steps of length h[k] from taus[k] to taus[k + 1]
         gap = np.diff(taus)
-        n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12)).astype(int)
-        h, ends = gap / n, np.cumsum(n)
+        n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12))
+        if n.sum() > MAX_STEPS:
+            raise ValidationError(f"taus / dt asks for more than {MAX_STEPS} "
+                                  "steps of dt")
+        h, ends = gap / n, np.cumsum(n).astype(int)
+        out = np.empty((len(taus), 8, 8), dtype=complex)
+        out[0] = rho = rho0
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
             i = np.arange(s, min(s + SAMPLE_BLOCK, ends[-1]))
             k = np.searchsorted(ends, i, side="right")   # step i's gap
@@ -382,8 +392,8 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
     a = v.conj().T @ (f[0].conj()[:, None] * rho0 * f[0]) @ v
     a = a * np.exp(-1j * (taus[1:, None, None] - taus[0]) * (w[:, None] - w))
-    out[1:] = v @ a @ v.conj().T * f[1:, :, None] * f[1:, None].conj()
-    return out
+    a = v @ a @ v.conj().T * f[1:, :, None] * f[1:, None].conj()
+    return np.concatenate([rho0[None], a])
 
 
 def oracle_deviation(ts, rho0, spec, coupling):

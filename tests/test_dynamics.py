@@ -1,5 +1,6 @@
 """Field models, trajectory integration, and the direct-propagation oracle."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
                                propagate_direct)
 from spintrio.errors import AccuracyError, ValidationError
 
-from conftest import FIELD_COPIES
+from conftest import FIELD_COPIES, random_pure
 
 SECT5 = CouplingConstants()  # (-0.2, -0.1, -0.3)
 
@@ -26,6 +27,12 @@ SECT5 = CouplingConstants()  # (-0.2, -0.1, -0.3)
 BUILTIN_COPIES = pytest.mark.parametrize("kind, h", list(FIELD_COPIES.items()),
                                          ids=list(FIELD_COPIES))
 BUILTIN_KINDS = pytest.mark.parametrize("kind", list(FIELD_COPIES))
+# The default operating point and one with every multiplier and exchange
+# constant changed.
+OPERATING_POINTS = pytest.mark.parametrize("mults, coupling", [
+    ((1.0, 2.0, 4.0), SECT5),
+    ((0.7, -1.3, 2.9), CouplingConstants(0.45, -0.8, 1.1))],
+    ids=["default", "other"])
 ALL_STATES = pytest.mark.parametrize("name, x", [
     (n, 2 / 3 if n == "Mix" else None) for n in pauli.STATE_NAMES],
     ids=list(pauli.STATE_NAMES))
@@ -41,6 +48,35 @@ def peak_rss_kib(code):
     return int(subprocess.run([sys.executable, "-c", code], env=env,
                               check=True, capture_output=True,
                               text=True).stdout)
+
+
+def frame_generators(spec, coupling, qubits):
+    """The stack [M_J; F_x; F_y; F_z] that integrate (three qubits) or
+    integrate_two (two) hands to the rotating-frame path."""
+    if qubits == 3:
+        return dynamics.stack(spec.multipliers, coupling)
+    m = spec.multipliers
+    return dynamics.pair_block(dynamics.stack(
+        (m[0], m[1], 0.0), CouplingConstants(coupling.j_ep, 0.0, 0.0)))
+
+
+def complex_rotating_frame(y, spec, gens, taus, qubits):
+    """The rotating-frame closed form in complex arithmetic, as a
+    reference: one eigh of 1j K and complex phases per sample."""
+    gz = dynamics._z_modes(qubits)[0]
+    g, u = np.linalg.eigh(1j * gz)
+    nu = dynamics.ROTATION[spec.kind]
+    a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
+    w, v = np.linalg.eigh(1j * (a0 + nu * gz))
+    c = v.conj().T @ y
+    m = v.T @ u.conj()
+    states = np.empty((len(taus), len(y)))
+    for s in range(0, len(taus), SAMPLE_BLOCK):
+        t = taus[s:s + SAMPLE_BLOCK, None]
+        z = ((np.exp(-1j * t * w) * c) @ m) * np.exp(1j * nu * t * g)
+        states[s:s + SAMPLE_BLOCK] = (z @ u.T).real
+    states[0] = y   # tau = 0 is r0 itself, as on the RK4 path
+    return states
 
 
 class TestFieldAt:
@@ -214,6 +250,46 @@ class TestIntegrate:
         # NaN from the first half step on: the first sample after tau = 0
         with pytest.raises(AccuracyError, match=r"first at tau = 0\.01$"):
             integrate(r0, spec, SECT5, IntegratorConfig(tau_max=0.1))
+
+
+class TestRotatingFrame:
+    @pytest.mark.parametrize("qubits", [3, 2])
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_generator_flips_y_parity(self, kind, qubits, mults, coupling):
+        # the real path needs K = A(0) + nu G_z to map the components with
+        # an even number of y slots only to those with an odd number
+        gz, odd = dynamics._z_modes(qubits)
+        assert list(odd) == [sum(i == 2 for i in idx) % 2 == 1 for idx in
+                             itertools.product(range(4), repeat=qubits)]
+        spec = FieldSpec(kind=kind, omega0=0.8, omega1=0.45,
+                         multipliers=mults)
+        gens = frame_generators(spec, coupling, qubits)
+        k = (np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens,
+                          axes=1) + dynamics.ROTATION[kind] * gz)
+        assert np.all(k[odd][:, odd] == 0.0)
+        assert np.all(k[~odd][:, ~odd] == 0.0)
+        assert np.abs(k[~odd][:, odd]).max() > 0
+
+    @pytest.mark.parametrize("qubits", [3, 2])
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_matches_complex_closed_form(self, rng, kind, qubits, mults,
+                                         coupling):
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        cfg = IntegratorConfig(tau_max=41.0, dt=0.01, sample_every=1)
+        r0 = pauli.rho_to_r(random_pure(rng))
+        if qubits == 3:
+            ts = integrate(r0, spec, coupling, cfg)
+            taus, states = ts.taus, ts.states
+        else:
+            r0 = r0[:, :, 0]
+            taus, states = integrate_two(r0, spec, coupling.j_ep, cfg)
+        assert len(taus) > 2 * SAMPLE_BLOCK
+        ref = complex_rotating_frame(r0.ravel(), spec,
+                                     frame_generators(spec, coupling, qubits),
+                                     taus, qubits)
+        assert np.abs(states.reshape(len(taus), -1) - ref).max() < 1e-12
 
 
 class TestIntegrateTwo:
@@ -424,6 +500,19 @@ class TestPropagateDirect:
             assert abs(np.trace(out[1]) - 1) < 1e-10
         """)
         assert peak_rss_kib(code) < 200 * 1024
+
+    @pytest.mark.parametrize("taus", [[0.0, 1e6], [0.0, 600.0, 0.0]],
+                             ids=["one_gap", "summed_over_gaps"])
+    def test_rejects_more_than_max_steps(self, taus):
+        # 10^9 and 1.2 * 10^6 steps of the default dt; the field is never
+        # evaluated, so no step is taken
+        def field(t):
+            raise AssertionError("a Magnus step was started")
+        rho0, _ = pauli.initial_state("W")
+        spec = FieldSpec(kind="Custom", custom=field)
+        with pytest.raises(ValidationError,
+                           match=f"more than {MAX_STEPS} steps of dt"):
+            propagate_direct(rho0, spec, SECT5, taus)
 
     @pytest.mark.parametrize("taus, dt", [
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),

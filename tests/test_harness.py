@@ -158,6 +158,26 @@ class TestRunScenario:
             run_scenario(ScenarioConfig(initial="Nope"))
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [1, 3001])
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_bytes_match_savetxt(self, tmp_path, rows, width):
+        rng = np.random.default_rng(rows * width)
+        taus = np.arange(rows) * 0.01
+        # exponents up to +-300, then each special value in the first row
+        data = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(
+            -300, 301, size=(rows, width))
+        for value in (np.nan, np.inf, -np.inf, -0.0, 1e300, -1e-300):
+            data[0] = value
+            channels = {f"c{i}": data[:, i] for i in range(width)}
+            harness.write_csv(tmp_path / "a.csv", taus, channels)
+            np.savetxt(tmp_path / "b.csv", np.column_stack([taus, data]),
+                       fmt="%.11e", delimiter=",", comments="",
+                       header="tau," + ",".join(channels))
+            assert ((tmp_path / "a.csv").read_bytes()
+                    == (tmp_path / "b.csv").read_bytes())
+
+
 class TestRunPreset:
     def test_figure3_merged_csv(self, tmp_path):
         (path,) = run_preset("figure3", tmp_path, tau_max=2.0)
