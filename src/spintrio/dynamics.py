@@ -15,8 +15,9 @@ multipliers[q] * h(tau),
     A(tau) = M_J + h_x(tau) F_x + h_y(tau) F_y + h_z(tau) F_z,
 
 so a trajectory needs one stack [M_J; F_x; F_y; F_z] and the coefficients
-[1, h_x, h_y, h_z] on the time grid.  The two-qubit (e, p) reduction is the
-(a, b, 0) block of the same generators with qubit n decoupled.
+[1, h_x, h_y, h_z] on the time grid.  With qubit n decoupled (no field, no
+exchange) the (a, b, 0) components evolve among themselves: integrate_two
+is integrate on the (e, p) tensor with n maximally mixed.
 
 The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
 in the frame that turns with them A is constant and the samples are exact:
@@ -26,7 +27,7 @@ fixed RK4 steps of dt.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,8 +56,8 @@ DELTA[0] = DELTA[:, 0] = DELTA[:, :, 0] = np.eye(4)
 EXCHANGE = (np.einsum('aic,bid->abcd', DELTA, pauli.EPS)
             + np.einsum('aic,bid->abcd', pauli.EPS, DELTA))
 
-# Flat indices of the (a, b, 0) components of a 4x4x4 tensor.
-PAIR = np.arange(16) * 4
+# The flat components with an odd number of y slots (index 2).
+_ODD_Y = (np.indices((4, 4, 4)) == 2).sum(axis=0).ravel() % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,24 @@ class FieldSpec:
 
     def base(self, tau):
         """Base field H(tau) before the per-qubit multipliers, shape
-        tau.shape + (3,).  A Custom callable is called once per tau."""
+        tau.shape + (3,).  A Custom callable is called once per tau; a
+        value that is not three finite components is a ValidationError
+        naming the first tau where it occurs."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "Custom":
-            h = [self.custom(t) for t in tau.ravel()]
-            return np.array(h, dtype=float).reshape(tau.shape + (3,))
+            t = tau.ravel()
+            h = [self.custom(x) for x in t] or np.empty((0, 3))
+            try:
+                h = np.array(h, dtype=float)
+                ok = h.shape == (len(t), 3) and np.isfinite(h).all()
+            except ValueError:   # values of different lengths
+                ok = False
+            if not ok:
+                k = next(k for k, v in enumerate(h)
+                         if np.shape(v) != (3,) or not np.isfinite(v).all())
+                raise ValidationError(f"Custom field at tau = {t[k]:.6g} is "
+                                      f"{h[k]!r}, not three finite components")
+            return h.reshape(tau.shape + (3,))
         w0, w1, nu = self.omega0, self.omega1, ROTATION[self.kind]
         zero = np.zeros(tau.shape)
         if nu:
@@ -202,11 +216,6 @@ def stack(mults, coupling):
     return np.concatenate([m_j[None], f])
 
 
-def pair_block(a):
-    """The (a, b, 0) rows and columns of (..., 64, 64) generators."""
-    return a[..., PAIR[:, None], PAIR]
-
-
 def check_gate(dev, taus, tol, what):
     """Raise AccuracyError, naming the largest deviation and the first
     sampled tau where dev is not within tol; NaN and inf fail."""
@@ -216,18 +225,6 @@ def check_gate(dev, taus, tol, what):
         raise AccuracyError(
             f"{what} is {worst:.3e} (tolerance {tol:.0e}), first at "
             f"tau = {taus[outside.argmax()]:.6g}", worst)
-
-
-@functools.cache
-def _z_modes(qubits):
-    """(G_z, odd) on `qubits` qubits, read-only: G_z turns every qubit
-    about z, odd marks the components with an odd number of y slots."""
-    gz = stack((1.0, 1.0, 1.0), CouplingConstants(0.0, 0.0, 0.0))[3]
-    gz = pair_block(gz) if qubits == 2 else gz
-    odd = (np.indices((4,) * qubits) == 2).sum(axis=0).ravel() % 2 == 1
-    for a in (gz, odd):
-        a.setflags(write=False)
-    return gz, odd
 
 
 def _rk4(y, spec, gens, cfg, n_steps):
@@ -262,15 +259,15 @@ def _rk4(y, spec, gens, cfg, n_steps):
 SAMPLE_BLOCK = 1024
 
 
-def _rotating_frame(y, spec, gens, taus, qubits):
+def _rotating_frame(y, spec, gens, taus):
     """Exact samples from y for a built-in field turning about z at rate
     nu: R(tau) = Z(-nu tau) exp(K tau) R(0), Z(phi) = exp(phi G_z), with
     K = A(0) + nu G_z constant.  K is real (the field has no y component at
     tau = 0) and flips the parity of the number of y slots: K = [[0, B],
     [-B^T, 0]] on (even, odd).  With B = U S V^T, U^T y_even and V^T y_odd
     turn into each other at the rates S; Z(-nu tau) turns each (x, y) pair."""
-    nu = ROTATION[spec.kind]
-    gz, odd = _z_modes(qubits)
+    nu, odd = ROTATION[spec.kind], _ODD_Y
+    gz = generators()[2:9:3].sum(axis=0)   # d/dh_z of every qubit
     a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
     u, w, vt = np.linalg.svd((a0 + nu * gz)[~odd][:, odd])
     e, o = np.zeros((2, len(w), len(y)))
@@ -284,7 +281,7 @@ def _rotating_frame(y, spec, gens, taus, qubits):
         block = states[s:s + SAMPLE_BLOCK]
         block[:] = np.cos(t * w) @ mc + np.sin(t * w) @ ms + rest
         c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
-        for q in range(qubits):   # the slot of qubit q is axis 2 of v
+        for q in range(3):   # the slot of qubit q is axis 2 of v
             v = block.reshape(len(t), 4 ** q, 4, -1)
             px, py = v[:, :, 1], v[:, :, 2]
             v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
@@ -292,42 +289,36 @@ def _rotating_frame(y, spec, gens, taus, qubits):
     return states
 
 
-def _trajectory(r0, spec, gens, cfg, qubits):
-    """(taus, states, Bloch lengths) of dR/dtau = A(tau) R from the
-    `qubits`-qubit tensor r0, where A is the stack `gens` = [M_J; F_x; F_y;
-    F_z] weighted by [1, h_x, h_y, h_z] of the base field: exact in the
-    rotating frame for a built-in field, RK4 for a Custom one.  Raises
-    AccuracyError if the Bloch length drifts beyond GATE_TOL."""
-    r0 = pauli.check_normalized(r0, qubits)
+def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
+    """Integrate the 63-equation system from the 4x4x4 tensor r0: exact in
+    the rotating frame for a built-in field, RK4 for a Custom one.  Returns
+    a TimeSeries with a 'b' channel; raises AccuracyError if the Bloch
+    length drifts beyond GATE_TOL."""
+    r0 = pauli.check_normalized(r0)
+    gens = stack(spec.multipliers, coupling)
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
-        states = _rotating_frame(r0.ravel(), spec, gens, taus, qubits)
+        states = _rotating_frame(r0.ravel(), spec, gens, taus)
     else:
         states = _rk4(r0.ravel(), spec, gens, cfg, n_steps)
-    states = states.reshape((-1,) + r0.shape)
-    b = pauli.bloch_length(states, qubits=qubits)
-    what = {2: "two", 3: "three"}[qubits]
+    states = states.reshape((-1, 4, 4, 4))
+    b = pauli.bloch_length(states)
     check_gate(np.abs(b - b[0]), taus, GATE_TOL,
-               f"Bloch length drift of the {what}-qubit integration")
-    return taus, states, b
-
-
-def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
-    """Integrate the 63-equation system; returns a TimeSeries with a 'b'
-    channel.  Raises AccuracyError if the Bloch length drifts beyond
-    GATE_TOL."""
-    taus, states, b = _trajectory(r0, spec, stack(spec.multipliers, coupling),
-                                  cfg, 3)
+               "Bloch length drift of the three-qubit integration")
     return TimeSeries(taus=taus, states=states, channels={"b": b})
 
 
 def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
-    """Integrate the two-qubit reduction for the (e, p) pair; returns
-    (taus, states)."""
+    """Integrate the two-qubit reduction for the (e, p) pair from the 4x4
+    tensor r2_0; returns (taus, states).  This is the three-qubit system
+    from r0[a, b, 0] = r2_0[a, b] with n decoupled (h_n = 0, j_en = j_pn =
+    0), so a drift names the three-qubit integration."""
+    r0 = np.zeros((4, 4, 4))
+    r0[:, :, 0] = pauli.check_normalized(r2_0, 2)
     m = spec.multipliers
-    block = pair_block(stack((m[0], m[1], 0.0),
-                             CouplingConstants(j_ep, 0.0, 0.0)))
-    return _trajectory(r2_0, spec, block, cfg, 2)[:2]
+    ts = integrate(r0, replace(spec, multipliers=(m[0], m[1], 0.0)),
+                   CouplingConstants(j_ep, 0.0, 0.0), cfg)
+    return ts.taus, np.ascontiguousarray(ts.states[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +354,13 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     if spec.kind == "Custom":
-        # n[k] steps of length h[k] from taus[k] to taus[k + 1]
-        gap = np.diff(taus)
-        n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12))
-        if n.sum() > MAX_STEPS:
+        # n[k] steps of length h[k] from taus[k] to taus[k + 1]; a count
+        # that overflows is inf, which the bound rejects
+        with np.errstate(over="ignore"):
+            gap = np.diff(taus)
+            n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12))
+            too_many = n.sum() > MAX_STEPS
+        if too_many:
             raise ValidationError(f"taus / dt asks for more than {MAX_STEPS} "
                                   "steps of dt")
         h, ends = gap / n, np.cumsum(n).astype(int)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -50,20 +51,10 @@ def peak_rss_kib(code):
                               text=True).stdout)
 
 
-def frame_generators(spec, coupling, qubits):
-    """The stack [M_J; F_x; F_y; F_z] that integrate (three qubits) or
-    integrate_two (two) hands to the rotating-frame path."""
-    if qubits == 3:
-        return dynamics.stack(spec.multipliers, coupling)
-    m = spec.multipliers
-    return dynamics.pair_block(dynamics.stack(
-        (m[0], m[1], 0.0), CouplingConstants(coupling.j_ep, 0.0, 0.0)))
-
-
-def complex_rotating_frame(y, spec, gens, taus, qubits):
+def complex_rotating_frame(y, spec, gens, taus):
     """The rotating-frame closed form in complex arithmetic, as a
     reference: one eigh of 1j K and complex phases per sample."""
-    gz = dynamics._z_modes(qubits)[0]
+    gz = dynamics.stack((1.0, 1.0, 1.0), CouplingConstants(0.0, 0.0, 0.0))[3]
     g, u = np.linalg.eigh(1j * gz)
     nu = dynamics.ROTATION[spec.kind]
     a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
@@ -246,25 +237,58 @@ class TestIntegrate:
     def test_nan_field_trips_drift_gate(self):
         _, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="Custom",
-                         custom=lambda t: (np.nan if t > 0 else 0.0, 0.0, 1.0))
-        # NaN from the first half step on: the first sample after tau = 0
-        with pytest.raises(AccuracyError, match=r"first at tau = 0\.01$"):
+                         custom=lambda t: (1e300 if t > 0 else 0.0, 0.0, 1.0))
+        # a finite field from the first half step on that overflows RK4 to
+        # inf and NaN: the first sample after tau = 0
+        with np.errstate(all="ignore"), \
+                pytest.raises(AccuracyError, match=r"first at tau = 0\.01$"):
             integrate(r0, spec, SECT5, IntegratorConfig(tau_max=0.1))
 
 
+@pytest.mark.parametrize("value, after", [
+    ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
+    ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0)],
+    ids=["nan", "inf", "two_components", "two_components_throughout"])
+@pytest.mark.parametrize("entry", ["integrate", "integrate_two",
+                                   "propagate_direct"])
+def test_bad_custom_field_is_a_validation_error(entry, value, after):
+    # the callable returns `value` for tau > after; the error names the
+    # first tau at which it did, and is raised before any step
+    calls = []
+
+    def field(t):
+        calls.append(t)
+        return value if t > after else (-0.3, 0.0, -1.0)
+    spec = FieldSpec(kind="Custom", custom=field)
+    rho0, r0 = pauli.initial_state("W")
+    cfg = IntegratorConfig(tau_max=0.2)
+    run = {"integrate": lambda: integrate(r0, spec, SECT5, cfg),
+           "integrate_two": lambda: integrate_two(r0[:, :, 0], spec, -0.2,
+                                                  cfg),
+           "propagate_direct": lambda: propagate_direct(
+               rho0, spec, SECT5, np.arange(21) * 0.01)}[entry]
+    with pytest.raises(ValidationError) as info:
+        run()
+    first = next(t for t in calls if t > after)
+    assert f"Custom field at tau = {first:.6g} is " in str(info.value)
+
+
 class TestRotatingFrame:
-    @pytest.mark.parametrize("qubits", [3, 2])
+    # G_z and the y-parity mask are over three qubits; integrate_two runs
+    # the same three-qubit generators
+    @pytest.mark.parametrize("qubits", [3])
     @BUILTIN_KINDS
     @OPERATING_POINTS
     def test_generator_flips_y_parity(self, kind, qubits, mults, coupling):
         # the real path needs K = A(0) + nu G_z to map the components with
         # an even number of y slots only to those with an odd number
-        gz, odd = dynamics._z_modes(qubits)
+        odd = dynamics._ODD_Y
         assert list(odd) == [sum(i == 2 for i in idx) % 2 == 1 for idx in
                              itertools.product(range(4), repeat=qubits)]
+        gz = dynamics.stack((1.0, 1.0, 1.0), CouplingConstants(0, 0, 0))[3]
         spec = FieldSpec(kind=kind, omega0=0.8, omega1=0.45,
                          multipliers=mults)
-        gens = frame_generators(spec, coupling, qubits)
+        gens = dynamics.stack(spec.multipliers, coupling)
         k = (np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens,
                           axes=1) + dynamics.ROTATION[kind] * gz)
         assert np.all(k[odd][:, odd] == 0.0)
@@ -283,12 +307,18 @@ class TestRotatingFrame:
             ts = integrate(r0, spec, coupling, cfg)
             taus, states = ts.taus, ts.states
         else:
-            r0 = r0[:, :, 0]
-            taus, states = integrate_two(r0, spec, coupling.j_ep, cfg)
+            # the (e, p) marginal with n decoupled, against the closed form
+            # of the three-qubit system from (e, p) x maximally mixed n
+            r0[:, :, 1:] = 0.0
+            taus, states = integrate_two(r0[:, :, 0], spec, coupling.j_ep,
+                                         cfg)
+            spec = FieldSpec(kind=kind, multipliers=(*mults[:2], 0.0))
+            coupling = CouplingConstants(coupling.j_ep, 0.0, 0.0)
+            states = np.stack([states, *[np.zeros_like(states)] * 3], axis=-1)
         assert len(taus) > 2 * SAMPLE_BLOCK
         ref = complex_rotating_frame(r0.ravel(), spec,
-                                     frame_generators(spec, coupling, qubits),
-                                     taus, qubits)
+                                     dynamics.stack(spec.multipliers,
+                                                    coupling), taus)
         assert np.abs(states.reshape(len(taus), -1) - ref).max() < 1e-12
 
 
@@ -321,8 +351,8 @@ class TestIntegrateTwo:
                               IntegratorConfig(tau_max=0.1))
 
     def test_exact_path_matches_oracle(self):
-        # Bell pair on (e, p) x up on n, n decoupled: the pair block of the
-        # exact three-qubit propagation
+        # Bell pair on (e, p) x up on n, n decoupled: the (a, b, 0) slice of
+        # the exact three-qubit propagation
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho2 = np.outer(bell, bell.conj())
@@ -343,6 +373,16 @@ class TestIntegrateTwo:
         with pytest.raises(ValidationError, match="exceeds 1.73205"):
             integrate_two(r2_0, FieldSpec(kind="R"), -0.2,
                           IntegratorConfig(tau_max=0.1))
+
+    @BUILTIN_COPIES
+    def test_custom_field_matches_builtin(self, kind, h):
+        # the Custom copy takes RK4, the built-in field the exact path
+        _, r0 = pauli.initial_state("W")
+        cfg = IntegratorConfig(tau_max=2.0)
+        _, exact = integrate_two(r0[:, :, 0], FieldSpec(kind=kind), -0.2, cfg)
+        _, rk4 = integrate_two(r0[:, :, 0], FieldSpec(kind="Custom", custom=h),
+                               -0.2, cfg)
+        assert np.abs(rk4 - exact).max() < GATE_TOL
 
     def test_nan_exchange_fails_at_construction(self):
         r2_0 = np.zeros((4, 4))
@@ -501,18 +541,23 @@ class TestPropagateDirect:
         """)
         assert peak_rss_kib(code) < 200 * 1024
 
-    @pytest.mark.parametrize("taus", [[0.0, 1e6], [0.0, 600.0, 0.0]],
-                             ids=["one_gap", "summed_over_gaps"])
-    def test_rejects_more_than_max_steps(self, taus):
-        # 10^9 and 1.2 * 10^6 steps of the default dt; the field is never
-        # evaluated, so no step is taken
+    @pytest.mark.parametrize("taus, dt", [
+        ([0.0, 1e6], 1e-3), ([0.0, 600.0, 0.0], 1e-3),
+        ([0.0, 1e300], 1e-300), ([-1e308, 1e308], 1e-3)],
+        ids=["one_gap", "summed_over_gaps", "count_overflows",
+             "gap_overflows"])
+    def test_rejects_more_than_max_steps(self, taus, dt):
+        # 10^9 and 1.2 * 10^6 steps, and counts that overflow to inf without
+        # a warning; the field is never evaluated, so no step is taken
         def field(t):
             raise AssertionError("a Magnus step was started")
         rho0, _ = pauli.initial_state("W")
         spec = FieldSpec(kind="Custom", custom=field)
-        with pytest.raises(ValidationError,
-                           match=f"more than {MAX_STEPS} steps of dt"):
-            propagate_direct(rho0, spec, SECT5, taus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=f"more than {MAX_STEPS} steps of dt"):
+                propagate_direct(rho0, spec, SECT5, taus, dt=dt)
 
     @pytest.mark.parametrize("taus, dt", [
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),

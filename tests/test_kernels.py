@@ -6,8 +6,7 @@ import pytest
 
 from spintrio import pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                               generators, integrate, pair_block, rhs_three,
-                               stack)
+                               generators, integrate, rhs_three, stack)
 
 from conftest import kron3, random_density
 
@@ -20,11 +19,19 @@ def commutator_rhs3(r, he, hp, hn, coupling):
 
 
 def pair_rhs(r2, h, mults, j_ep):
-    """dR/dtau of the two-qubit block integrate_two runs: the pair block of
-    the stack for qubit fields (m_e h, m_p h), weighted by [1, h]."""
-    block = pair_block(stack((*mults, 0.0), CouplingConstants(j_ep, 0.0, 0.0)))
-    a = np.tensordot(np.concatenate([[1.0], h]), block, axes=1)
-    return (a @ np.ravel(r2)).reshape(4, 4)
+    """dR/dtau of the three-qubit system integrate_two runs, at r2 with n
+    maximally mixed: the stack for qubit fields (m_e h, m_p h, 0) and
+    j_en = j_pn = 0, weighted by [1, h].  Returns the (a, b, 0) slice and
+    asserts that every (a, b, c != 0) derivative is exactly 0, so the
+    slice evolves on its own."""
+    r = np.zeros((4, 4, 4))
+    r[:, :, 0] = r2
+    a = np.tensordot(np.concatenate([[1.0], h]),
+                     stack((*mults, 0.0), CouplingConstants(j_ep, 0.0, 0.0)),
+                     axes=1)
+    d = (a @ r.ravel()).reshape(4, 4, 4)
+    assert np.all(d[:, :, 1:] == 0.0)
+    return d[:, :, 0]
 
 
 def commutator_rhs2(r2, he, hp, j_ep):
