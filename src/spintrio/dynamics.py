@@ -73,6 +73,16 @@ class CouplingConstants:
                 raise ValueError("exchange constants must be finite")
 
 
+def _finite_reals(v, shape):
+    """v as floats if it is finite real numbers of this shape, else None."""
+    try:
+        v = np.asarray(v)
+    except (TypeError, ValueError):   # e.g. values of different lengths
+        return None
+    ok = v.dtype.kind in "biuf" and v.shape == shape and np.isfinite(v).all()
+    return v.astype(float) if ok else None
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Driving-field model.
@@ -106,22 +116,18 @@ class FieldSpec:
     def base(self, tau):
         """Base field H(tau) before the per-qubit multipliers, shape
         tau.shape + (3,).  A Custom callable is called once per tau; a
-        value that is not three finite components is a ValidationError
+        value that is not three finite floats or ints is a ValidationError
         naming the first tau where it occurs."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "Custom":
             t = tau.ravel()
-            h = [self.custom(x) for x in t] or np.empty((0, 3))
-            try:
-                h = np.array(h, dtype=float)
-                ok = h.shape == (len(t), 3) and np.isfinite(h).all()
-            except ValueError:   # values of different lengths
-                ok = False
-            if not ok:
-                k = next(k for k, v in enumerate(h)
-                         if np.shape(v) != (3,) or not np.isfinite(v).all())
+            values = [self.custom(x) for x in t] or np.empty((0, 3))
+            h = _finite_reals(values, (len(t), 3))
+            if h is None:
+                k = next(k for k, v in enumerate(values)
+                         if _finite_reals(v, (3,)) is None)
                 raise ValidationError(f"Custom field at tau = {t[k]:.6g} is "
-                                      f"{h[k]!r}, not three finite components")
+                                      f"{values[k]!r}, not three finite reals")
             return h.reshape(tau.shape + (3,))
         w0, w1, nu = self.omega0, self.omega1, ROTATION[self.kind]
         zero = np.zeros(tau.shape)
@@ -331,6 +337,20 @@ _GAUSS = 0.5 + np.array([-1, 1]) * math.sqrt(3) / 6
 _MAGNUS = (3 + np.array([[-2, 2], [2, -2]]) * math.sqrt(3)) / 12
 
 
+def _expm(x, theta):
+    """exp(x) for a stack of matrices whose row sums of |x| are at most
+    theta < pi: Horner's scheme on the Taylor series of the least degree K
+    whose remainder bound theta^(K+1) / (K+1)! e^theta is below 2^-53."""
+    deg = next(k for k in range(1, 99) if theta ** (k + 1) * math.exp(theta)
+               < 2.0 ** -53 * math.factorial(k + 1))
+    p = x * (1 / deg) + np.eye(8)
+    for j in range(deg - 1, 0, -1):
+        p = x @ p
+        p *= 1 / j
+        p += np.eye(8)
+    return p
+
+
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Density matrices at every tau from rho0, the state at taus[0] (out[0]
     is rho0 itself), propagated directly in 8x8 form.
@@ -340,8 +360,11 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     one eigendecomposition gives every tau.  Custom fields take steps of at
     most dt, at most MAX_STEPS in all, of the 4th-order commutator-free
     Magnus method: two exponentials at the Gauss nodes (Blanes, Casas, Oteo
-    & Ros, Phys. Rep. 470, 151 (2009)).  The steps are built SAMPLE_BLOCK at
-    a time, with one stacked eigh per block, so memory is bounded on any gap.
+    & Ros, Phys. Rep. 470, 151 (2009)).  They are Taylor exponentials of
+    bounded degree, built SAMPLE_BLOCK steps at a time, and a cumulative
+    propagator W gives out = W rho0 W^dag, so memory is bounded on any gap.
+    A step whose exponent's largest row sum is not below pi, the Magnus
+    convergence radius, is a ValidationError naming its tau: lower dt.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (8, 8):
@@ -365,19 +388,28 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                                   "steps of dt")
         h, ends = gap / n, np.cumsum(n).astype(int)
         out = np.empty((len(taus), 8, 8), dtype=complex)
-        out[0] = rho = rho0
+        out[0], w = rho0, np.eye(8)   # w: the propagator from taus[0]
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
             i = np.arange(s, min(s + SAMPLE_BLOCK, ends[-1]))
             k = np.searchsorted(ends, i, side="right")   # step i's gap
             j, hk = i - ends[k] + n[k], h[k, None]
             t = taus[k, None] + (j[:, None] + _GAUSS) * hk
             ham = pauli.build_hamiltonian(*field_at(spec, t), coupling)
-            w, v = np.linalg.eigh(np.tensordot(_MAGNUS, ham, axes=(1, 1)))
-            u = v * np.exp(-1j * hk * w)[:, :, None] @ v.conj().swapaxes(2, 3)
+            x = -1j * hk[:, :, None] * np.tensordot(_MAGNUS, ham, (1, 1))
+            # per step, a bound on the spectral norm of both exponents
+            theta = np.abs(x).sum(axis=-1).max(axis=(0, 2))
+            b = np.argmin(theta < math.pi)   # the first step outside, if any
+            if not theta[b] < math.pi:
+                raise ValidationError(
+                    f"Magnus step at tau = {taus[k[b]] + j[b] * h[k[b]]:.6g} "
+                    f"has norm bound {theta[b]:.3g}, not below pi: lower dt")
+            u = _expm(x, theta.max())
             for uk, k1, last in zip(u[0] @ u[1], k + 1, i + 1 == ends[k]):
-                rho = uk @ rho @ uk.conj().T
+                w = uk @ w
                 if last:
-                    out[k1] = rho
+                    out[k1] = w
+        for ws in np.split(out, range(1, len(out), SAMPLE_BLOCK))[1:]:
+            ws[:] = ws @ rho0 @ ws.conj().swapaxes(1, 2)   # W rho0 W^dag
         return out
     nu = ROTATION[spec.kind]
     sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real

@@ -247,8 +247,10 @@ class TestIntegrate:
 
 @pytest.mark.parametrize("value, after", [
     ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
-    ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0)],
-    ids=["nan", "inf", "two_components", "two_components_throughout"])
+    ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0), ((1j, 0.0, 1.0), 0.1),
+    (("x", "y", "z"), 0.1)],
+    ids=["nan", "inf", "two_components", "two_components_throughout",
+         "complex", "strings"])
 @pytest.mark.parametrize("entry", ["integrate", "integrate_two",
                                    "propagate_direct"])
 def test_bad_custom_field_is_a_validation_error(entry, value, after):
@@ -522,6 +524,54 @@ class TestPropagateDirect:
             ref[k] = rho
         out = propagate_direct(rho0, spec, SECT5, taus, dt=dt)
         assert np.abs(out - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["forward", "backward"])
+    def test_taylor_exponential_matches_eigh(self, rng, theta, sign):
+        # exp(-1j h X) for a stack of Hermitian X of different norms, scaled
+        # so that the largest row sum of |h X| is theta
+        a = rng.normal(size=(2, 5, 8, 8)) + 1j * rng.normal(size=(2, 5, 8, 8))
+        hx = (a + a.conj().swapaxes(2, 3)) * rng.uniform(size=(2, 5, 1, 1))
+        hx *= theta / np.abs(hx).sum(axis=-1).max()
+        u = dynamics._expm(-1j * sign * hx, theta)
+        w, v = np.linalg.eigh(hx)
+        ref = (v * np.exp(-1j * sign * w)[..., None, :]
+               @ v.conj().swapaxes(2, 3))
+        assert np.abs(u - ref).max() < 1e-14
+        eye = u @ u.conj().swapaxes(2, 3)
+        assert np.abs(eye - np.eye(8)).max() < 1e-14
+
+    @pytest.mark.parametrize("custom, taus, dt, first", [
+        (FIELD_COPIES["R"], [0.0, 10.0], 2.0, 0.0)] + [
+        (lambda t, f=f: (f if t > 0.05 else 0.0, 0.0, 1.0),
+         np.arange(21) * 0.01, 1e-3, 0.05) for f in (1e8, 1e200, 1e300)],
+        ids=["dt_2", "field_1e8", "field_1e200", "field_1e300"])
+    def test_rejects_steps_outside_convergence_radius(self, custom, taus, dt,
+                                                      first):
+        # a step whose norm bound is not below pi is no 4th-order step: it
+        # is named by the tau it starts at, without overflow or warning
+        rho0, _ = pauli.initial_state("W")
+        spec = FieldSpec(kind="Custom", custom=custom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=f"Magnus step at tau = {first:.6g} "
+                                     r".* not below pi: lower dt"):
+                propagate_direct(rho0, spec, SECT5, taus, dt=dt)
+
+    @pytest.mark.parametrize("kind", ["R", "NR"])
+    @pytest.mark.parametrize("name, x", [("W", None), ("Mix", 2 / 3)],
+                             ids=["W", "Mix"])
+    def test_cumulative_propagator_to_tau_10(self, kind, name, x):
+        # 10^4 Magnus steps and 2001 samples, more than one SAMPLE_BLOCK of
+        # each, against the closed form
+        rho0, _ = pauli.initial_state(name, x)
+        taus = np.arange(0, 2001) * 0.005
+        exact = propagate_direct(rho0, FieldSpec(kind=kind), SECT5, taus)
+        custom = FieldSpec(kind="Custom", custom=FIELD_COPIES[kind])
+        magnus = propagate_direct(rho0, custom, SECT5, taus)
+        assert np.abs(magnus - exact).max() <= 5e-12
+        assert np.abs(np.einsum('kii->k', magnus) - 1).max() <= 5e-12
 
     def test_magnus_memory_is_bounded(self):
         # one gap of 5 * 10^4 Magnus steps, whose step unitaries alone
