@@ -73,13 +73,15 @@ class CouplingConstants:
                 raise ValueError("exchange constants must be finite")
 
 
-def _finite_reals(v, shape):
-    """v as floats if it is finite real numbers of this shape, else None."""
+def _finite_reals(v, shape, scale):
+    """v as floats if real, of this shape and with finite scale * sum |v|."""
     try:
         v = np.asarray(v)
     except (TypeError, ValueError):   # e.g. values of different lengths
         return None
-    ok = v.dtype.kind in "biuf" and v.shape == shape and np.isfinite(v).all()
+    with np.errstate(over="ignore"):
+        ok = (v.dtype.kind in "biuf" and v.shape == shape
+              and np.isfinite(scale * np.abs(v).sum(axis=-1)).all())
     return v.astype(float) if ok else None
 
 
@@ -116,18 +118,19 @@ class FieldSpec:
     def base(self, tau):
         """Base field H(tau) before the per-qubit multipliers, shape
         tau.shape + (3,).  A Custom callable is called once per tau; a
-        value that is not three finite floats or ints is a ValidationError
-        naming the first tau where it occurs."""
+        value that is not three reals whose sum of |h_i| is finite times
+        each multiplier is a ValidationError naming the first tau."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "Custom":
-            t = tau.ravel()
+            t, m = tau.ravel(), max(map(abs, self.multipliers))
             values = [self.custom(x) for x in t] or np.empty((0, 3))
-            h = _finite_reals(values, (len(t), 3))
+            h = _finite_reals(values, (len(t), 3), m)
             if h is None:
                 k = next(k for k, v in enumerate(values)
-                         if _finite_reals(v, (3,)) is None)
-                raise ValidationError(f"Custom field at tau = {t[k]:.6g} is "
-                                      f"{values[k]!r}, not three finite reals")
+                         if _finite_reals(v, (3,), m) is None)
+                raise ValidationError(
+                    f"Custom field at tau = {t[k]:.6g} is {values[k]!r}, not "
+                    "three reals that stay finite times the multipliers")
             return h.reshape(tau.shape + (3,))
         w0, w1, nu = self.omega0, self.omega1, ROTATION[self.kind]
         zero = np.zeros(tau.shape)
@@ -233,36 +236,34 @@ def check_gate(dev, taus, tol, what):
             f"tau = {taus[outside.argmax()]:.6g}", worst)
 
 
-def _rk4(y, spec, gens, cfg, n_steps):
-    """Samples of classical fixed-step RK4 from y for dR/dtau = A(tau) R."""
-    dt, every = cfg.dt, cfg.sample_every
-    # the weights on the half-step grid, shape (2 n_steps + 1, 4)
-    h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
-    coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
-    m, d, _ = gens.shape
-    flat = gens.reshape(m * d, d)
-
-    def f(c, y):
-        # sum_j c[j] gens[j] @ y as one (m d x d) product and an m-term sum
-        return c @ (flat @ y).reshape(m, d)
-
-    states = np.empty((n_steps // every + 1, d))
-    states[0] = y
-    for step in range(n_steps):
-        c0, ch, c1 = coeffs[2 * step:2 * step + 3]
-        k1 = f(c0, y)
-        k2 = f(ch, y + 0.5 * dt * k1)
-        k3 = f(ch, y + 0.5 * dt * k2)
-        k4 = f(c1, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % every == 0:
-            states[(step + 1) // every] = y
-    return states
-
-
 # Samples per block of the rotating-frame path (real) and of the oracle check
 # and Magnus steps per block (complex): bounds their temporaries to a few MB.
 SAMPLE_BLOCK = 1024
+_RK4_BLOCK = 8   # RK4 steps per block of node generators: 17 x 64^2, 544 KB
+
+
+def _rk4(y, spec, gens, cfg, n_steps):
+    """Samples of classical fixed-step RK4 from y for dR/dtau = A(tau) R:
+    dt/2 A at the half-step nodes of _RK4_BLOCK steps is one product."""
+    dt, every = cfg.dt, cfg.sample_every
+    # the weights dt/2 [1, h] on the half-step grid, shape (2 n_steps + 1, 4)
+    h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
+    coeffs = 0.5 * dt * np.concatenate([np.ones((len(h), 1)), h], axis=-1)
+    states = np.empty((n_steps // every + 1, len(y)))
+    states[0] = y
+    for s in range(0, n_steps, _RK4_BLOCK):
+        a = coeffs[2 * s:2 * (s + _RK4_BLOCK) + 1] @ gens.reshape(4, -1)
+        a = a.reshape((-1,) + gens.shape[1:])
+        for step, (a0, ah, a1) in enumerate(zip(a[:-1:2], a[1::2], a[2::2]),
+                                            s + 1):
+            u1 = a0.dot(y)   # u_i = dt/2 k_i
+            u2 = ah.dot(y + u1)
+            u3 = ah.dot(y + u2)
+            u4 = a1.dot(y + 2.0 * u3)
+            y = y + (u1 + 2.0 * (u2 + u3) + u4) / 3.0
+            if step % every == 0:
+                states[step // every] = y
+    return states
 
 
 def _rotating_frame(y, spec, gens, taus):
@@ -387,6 +388,11 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
             raise ValidationError(f"taus / dt asks for more than {MAX_STEPS} "
                                   "steps of dt")
         h, ends = gap / n, np.cumsum(n).astype(int)
+        # H(tau) = [1, h(tau)] @ [H_J; F_x; F_y; F_z]: the exchange alone,
+        # then unit fields along x, y, z times the multipliers alone
+        fields = np.multiply.outer(spec.multipliers, np.eye(4)[:, 1:])
+        hs = pauli.build_hamiltonian(*fields, CouplingConstants(0, 0, 0))
+        hs[0] = pauli.build_hamiltonian(*fields[:, 0], coupling)
         out = np.empty((len(taus), 8, 8), dtype=complex)
         out[0], w = rho0, np.eye(8)   # w: the propagator from taus[0]
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
@@ -394,8 +400,9 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
             k = np.searchsorted(ends, i, side="right")   # step i's gap
             j, hk = i - ends[k] + n[k], h[k, None]
             t = taus[k, None] + (j[:, None] + _GAUSS) * hk
-            ham = pauli.build_hamiltonian(*field_at(spec, t), coupling)
-            x = -1j * hk[:, :, None] * np.tensordot(_MAGNUS, ham, (1, 1))
+            hn = np.insert(spec.base(t), 0, 1.0, axis=-1)   # [1, h] at nodes
+            c = -1j * hk * np.tensordot(_MAGNUS, hn, (1, 1))   # (2, steps, 4)
+            x = np.tensordot(c, hs, 1)
             # per step, a bound on the spectral norm of both exponents
             theta = np.abs(x).sum(axis=-1).max(axis=(0, 2))
             b = np.argmin(theta < math.pi)   # the first step outside, if any

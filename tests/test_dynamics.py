@@ -218,6 +218,42 @@ class TestIntegrate:
         rk4 = integrate(r0, custom, SECT5, cfg)
         assert np.abs(rk4.states - exact.states).max() < GATE_TOL
 
+    def test_node_blocks_match_per_step_loop(self, rng):
+        # 201 steps: not a whole number of node blocks, and samples every 3
+        # steps fall at a different place in each block of 8
+        cfg = IntegratorConfig(tau_max=0.201, sample_every=3)
+        n_steps, taus = cfg.grid()
+        assert n_steps == 201 and len(taus) == 68
+        spec = FieldSpec(kind="Custom", multipliers=(0.7, -1.3, 2.9),
+                         custom=lambda t: (-0.303 * np.cos(1.007 * t),
+                                           0.303 * np.sin(1.007 * t), -1.0))
+        coupling = CouplingConstants(0.45, -0.8, 1.1)
+        y = pauli.rho_to_r(random_pure(rng)).ravel()
+
+        # the per-step RK4 loop, four generator sums per step
+        dt, every = cfg.dt, cfg.sample_every
+        gens = dynamics.stack(spec.multipliers, coupling)
+        h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
+        coeffs = np.concatenate([np.ones((len(h), 1)), h], axis=-1)
+        m, d, _ = gens.shape
+        flat = gens.reshape(m * d, d)
+
+        def f(c, y):
+            return c @ (flat @ y).reshape(m, d)
+
+        ref = [y]
+        for step in range(n_steps):
+            c0, ch, c1 = coeffs[2 * step:2 * step + 3]
+            k1 = f(c0, y)
+            k2 = f(ch, y + 0.5 * dt * k1)
+            k3 = f(ch, y + 0.5 * dt * k2)
+            k4 = f(c1, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (step + 1) % every == 0:
+                ref.append(y)
+        ts = integrate(ref[0].reshape(4, 4, 4), spec, coupling, cfg)
+        assert np.abs(ts.states.reshape(len(taus), -1) - ref).max() <= 1e-13
+
     @ALL_STATES
     @BUILTIN_KINDS
     def test_exact_path_matches_oracle(self, name, x, kind):
@@ -248,14 +284,15 @@ class TestIntegrate:
 @pytest.mark.parametrize("value, after", [
     ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
     ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0), ((1j, 0.0, 1.0), 0.1),
-    (("x", "y", "z"), 0.1)],
+    (("x", "y", "z"), 0.1), ((1e308, 0.0, 1.0), 0.1)],
     ids=["nan", "inf", "two_components", "two_components_throughout",
-         "complex", "strings"])
+         "complex", "strings", "overflows_multipliers"])
 @pytest.mark.parametrize("entry", ["integrate", "integrate_two",
                                    "propagate_direct"])
 def test_bad_custom_field_is_a_validation_error(entry, value, after):
     # the callable returns `value` for tau > after; the error names the
-    # first tau at which it did, and is raised before any step
+    # first tau at which it did, and is raised before any step and without
+    # a warning (1e308 is finite, but not times the multipliers 2 and 4)
     calls = []
 
     def field(t):
@@ -269,10 +306,34 @@ def test_bad_custom_field_is_a_validation_error(entry, value, after):
                                                   cfg),
            "propagate_direct": lambda: propagate_direct(
                rho0, spec, SECT5, np.arange(21) * 0.01)}[entry]
-    with pytest.raises(ValidationError) as info:
-        run()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            run()
     first = next(t for t in calls if t > after)
     assert f"Custom field at tau = {first:.6g} is " in str(info.value)
+
+
+@pytest.mark.parametrize("entry", ["integrate", "integrate_two",
+                                   "propagate_direct"])
+def test_custom_field_is_called_once_per_node(entry):
+    # RK4 needs the field at the 2 n + 1 half-step nodes of n steps, each
+    # Magnus step at its two Gauss nodes: one call each, over several blocks
+    calls = []
+
+    def field(t):
+        calls.append(t)
+        return (-0.3 * np.cos(t), 0.3 * np.sin(t), -1.0)
+    spec = FieldSpec(kind="Custom", custom=field)
+    rho0, r0 = pauli.initial_state("W")
+    cfg = IntegratorConfig(tau_max=0.2, sample_every=3)   # 201 RK4 steps
+    taus = [0.0, 0.2, 0.2, 0.1, 0.1234, 1.6]   # 1802 Magnus steps
+    {"integrate": lambda: integrate(r0, spec, SECT5, cfg),
+     "integrate_two": lambda: integrate_two(r0[:, :, 0], spec, -0.2, cfg),
+     "propagate_direct": lambda: propagate_direct(rho0, spec, SECT5, taus),
+     }[entry]()
+    expected = 2 * 1802 if entry == "propagate_direct" else 2 * 201 + 1
+    assert len(calls) == expected
 
 
 class TestRotatingFrame:
