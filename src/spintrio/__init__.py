@@ -9,8 +9,8 @@ independent complex density-matrix propagator used as a cross-check oracle.
 __version__ = "0.1.0"
 
 from .dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                       TimeSeries, field_at, integrate, integrate_two,
-                       propagate_direct, rhs_three)
+                       TimeSeries, integrate, integrate_two, propagate_direct,
+                       rhs_three)
 from .errors import AccuracyError, ConfigError, SpintrioError, ValidationError
 from .measures import (concurrence_c3, flip_probability, m_b, m_k, m_l, m_sm,
                        m_two, pair_tensors, triple_tensor)
@@ -20,8 +20,7 @@ from .pauli import (bloch_length, build_hamiltonian, initial_state,
 __all__ = [
     "__version__",
     "CouplingConstants", "FieldSpec", "IntegratorConfig", "TimeSeries",
-    "field_at", "integrate", "integrate_two", "propagate_direct",
-    "rhs_three",
+    "integrate", "integrate_two", "propagate_direct", "rhs_three",
     "AccuracyError", "ConfigError", "SpintrioError", "ValidationError",
     "concurrence_c3", "flip_probability", "m_b", "m_k", "m_l", "m_sm",
     "m_two", "pair_tensors", "triple_tensor",

@@ -114,6 +114,12 @@ class FieldSpec:
         if not np.all(np.isfinite([self.omega0, self.omega1,
                                    *self.multipliers])):
             raise ValueError("omega0, omega1 and multipliers must be finite")
+        # base(0) is -(w1, 0, w0) for R and NR, (0, 0, w0) for ConstantZ
+        h0 = abs(self.omega0) + abs(self.omega1) * (self.kind != "ConstantZ")
+        if self.kind in ROTATION and not math.isfinite(
+                h0 * max(map(abs, self.multipliers))):
+            raise ValueError(f"{self.kind} field at tau = 0: sum |h_i| times "
+                             "the largest |multiplier| is not finite")
 
     def base(self, tau):
         """Base field H(tau) before the per-qubit multipliers, shape
@@ -141,13 +147,6 @@ class FieldSpec:
         return np.stack(h, axis=-1)
 
 
-def field_at(spec, tau):
-    """Fields (h_e, h_p, h_n) seen by the three qubits at time tau."""
-    h = spec.base(tau)
-    m = spec.multipliers
-    return m[0] * h, m[1] * h, m[2] * h
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Time grid: samples every dt * sample_every up to tau_max.  dt is the
@@ -162,8 +161,9 @@ class IntegratorConfig:
         for v in (self.dt, self.tau_max):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError("dt and tau_max must be finite and positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        if not (isinstance(self.sample_every, (int, np.integer))
+                and self.sample_every is not True and self.sample_every >= 1):
+            raise ValueError("sample_every must be an integer >= 1")
         n_samp = round(self.tau_max / (self.dt * self.sample_every))
         if n_samp < 1:
             raise ValueError("tau_max rounds to zero sample intervals of "
@@ -354,16 +354,17 @@ def _expm(x, theta):
 
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Density matrices at every tau from rho0, the state at taus[0] (out[0]
-    is rho0 itself), propagated directly in 8x8 form.
+    is rho0 itself): the 8x8 propagator W(tau) from taus[0] gives
+    out = W rho0 W^dag, formed SAMPLE_BLOCK samples at a time.
 
     Built-in fields are exact: in the frame V(tau) = exp(i nu tau S_z) that
     turns with the field the Hamiltonian is the constant H(0) + nu S_z, so
-    one eigendecomposition gives every tau.  Custom fields take steps of at
-    most dt, at most MAX_STEPS in all, of the 4th-order commutator-free
-    Magnus method: two exponentials at the Gauss nodes (Blanes, Casas, Oteo
-    & Ros, Phys. Rep. 470, 151 (2009)).  They are Taylor exponentials of
-    bounded degree, built SAMPLE_BLOCK steps at a time, and a cumulative
-    propagator W gives out = W rho0 W^dag, so memory is bounded on any gap.
+    one eigendecomposition gives W at every tau.  Custom fields take steps
+    of at most dt, at most MAX_STEPS in all, of the 4th-order
+    commutator-free Magnus method: two exponentials at the Gauss nodes
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), Taylor
+    exponentials of bounded degree built SAMPLE_BLOCK steps at a time and
+    multiplied into W, so memory is bounded on any gap.
     A step whose exponent's largest row sum is not below pi, the Magnus
     convergence radius, is a ValidationError naming its tau: lower dt.
     """
@@ -393,8 +394,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
         fields = np.multiply.outer(spec.multipliers, np.eye(4)[:, 1:])
         hs = pauli.build_hamiltonian(*fields, CouplingConstants(0, 0, 0))
         hs[0] = pauli.build_hamiltonian(*fields[:, 0], coupling)
-        out = np.empty((len(taus), 8, 8), dtype=complex)
-        out[0], w = rho0, np.eye(8)   # w: the propagator from taus[0]
+        out, w = np.empty((len(taus), 8, 8), dtype=complex), np.eye(8)
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
             i = np.arange(s, min(s + SAMPLE_BLOCK, ends[-1]))
             k = np.searchsorted(ends, i, side="right")   # step i's gap
@@ -415,18 +415,19 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                 w = uk @ w
                 if last:
                     out[k1] = w
-        for ws in np.split(out, range(1, len(out), SAMPLE_BLOCK))[1:]:
-            ws[:] = ws @ rho0 @ ws.conj().swapaxes(1, 2)   # W rho0 W^dag
-        return out
-    nu = ROTATION[spec.kind]
-    sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
-    w, v = np.linalg.eigh(pauli.build_hamiltonian(*field_at(spec, 0.0),
-                                                  coupling) + nu * np.diag(sz))
-    f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
-    a = v.conj().T @ (f[0].conj()[:, None] * rho0 * f[0]) @ v
-    a = a * np.exp(-1j * (taus[1:, None, None] - taus[0]) * (w[:, None] - w))
-    a = v @ a @ v.conj().T * f[1:, :, None] * f[1:, None].conj()
-    return np.concatenate([rho0[None], a])
+    else:   # W = V(tau) exp(-i (tau - taus[0]) (H(0) + nu S_z)) V(taus[0])^dag
+        nu = ROTATION[spec.kind]
+        sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
+        w, v = np.linalg.eigh(pauli.build_hamiltonian(
+            *np.multiply.outer(spec.multipliers, spec.base(0.0)), coupling)
+            + nu * np.diag(sz))
+        f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
+        out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
+        out = f[:, :, None] * (out @ (v.conj().T * f[0].conj()))
+    out[0] = rho0
+    for ws in np.split(out, range(1, len(out), SAMPLE_BLOCK))[1:]:
+        ws[:] = ws @ rho0 @ ws.conj().swapaxes(1, 2)   # W rho0 W^dag
+    return out
 
 
 def oracle_deviation(ts, rho0, spec, coupling):

@@ -15,9 +15,8 @@ import spintrio
 from spintrio import dynamics, pauli
 from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
                                CouplingConstants, FieldSpec,
-                               IntegratorConfig, field_at, integrate,
-                               integrate_two, oracle_deviation,
-                               propagate_direct)
+                               IntegratorConfig, integrate, integrate_two,
+                               oracle_deviation, propagate_direct)
 from spintrio.errors import AccuracyError, ValidationError
 
 from conftest import FIELD_COPIES, random_pure
@@ -51,6 +50,11 @@ def peak_rss_kib(code):
                               text=True).stdout)
 
 
+def qubit_fields(spec, tau):
+    """(h_e, h_p, h_n): each qubit's multiplier times the base field."""
+    return np.multiply.outer(spec.multipliers, spec.base(tau))
+
+
 def complex_rotating_frame(y, spec, gens, taus):
     """The rotating-frame closed form in complex arithmetic, as a
     reference: one eigh of 1j K and complex phases per sample."""
@@ -72,34 +76,35 @@ def complex_rotating_frame(y, spec, gens, taus):
 
 class TestFieldAt:
     def test_resonant_at_zero(self):
-        he, hp, hn = field_at(FieldSpec(kind="R"), 0.0)
+        he, hp, hn = qubit_fields(FieldSpec(kind="R"), 0.0)
         assert np.allclose(he, [-0.3, 0.0, -1.0])
         assert np.allclose(hp, 2 * he)
         assert np.allclose(hn, 4 * he)
 
     def test_nonresonant_quarter_period(self):
-        he, _, _ = field_at(FieldSpec(kind="NR"), np.pi / 2)
+        he, _, _ = qubit_fields(FieldSpec(kind="NR"), np.pi / 2)
         assert np.allclose(he, [0.0, -0.3, -1.0], atol=1e-15)
 
     def test_r_nr_agree_at_zero(self):
-        r = field_at(FieldSpec(kind="R"), 0.0)
-        nr = field_at(FieldSpec(kind="NR"), 0.0)
+        r = qubit_fields(FieldSpec(kind="R"), 0.0)
+        nr = qubit_fields(FieldSpec(kind="NR"), 0.0)
         for a, b in zip(r, nr):
             assert np.array_equal(a, b)
 
     def test_rotation_sense_differs(self):
-        r = field_at(FieldSpec(kind="R"), 0.7)[0]
-        nr = field_at(FieldSpec(kind="NR"), 0.7)[0]
+        r = qubit_fields(FieldSpec(kind="R"), 0.7)[0]
+        nr = qubit_fields(FieldSpec(kind="NR"), 0.7)[0]
         assert r[0] == nr[0] and r[2] == nr[2] and r[1] == -nr[1]
 
     def test_constant_z(self):
-        he, hp, hn = field_at(FieldSpec(kind="ConstantZ", omega0=2.0), 5.0)
+        he, hp, hn = qubit_fields(FieldSpec(kind="ConstantZ", omega0=2.0),
+                                  5.0)
         assert np.allclose(he, [0, 0, 2.0])
 
     def test_custom(self):
         spec = FieldSpec(kind="Custom", custom=lambda t: (t, 0.0, 1.0),
                          multipliers=(1, 1, 3))
-        he, _, hn = field_at(spec, 2.0)
+        he, _, hn = qubit_fields(spec, 2.0)
         assert np.allclose(he, [2.0, 0.0, 1.0])
         assert np.allclose(hn, [6.0, 0.0, 3.0])
 
@@ -110,6 +115,28 @@ class TestFieldAt:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FieldSpec(kind="circular")
+
+    @BUILTIN_KINDS
+    def test_builtin_overflow_rule_is_the_rule_of_custom_values(self, kind):
+        # FieldSpec rejects exactly the built-in fields whose base(0), as
+        # base gives it, fails the check of Custom values
+        big = (1.0, 1e300, 6e307, 8e307)
+        for w0, w1, m in itertools.product(big, big, (1.0, 2.5, -4.0, 1e308)):
+            h0 = FieldSpec(kind=kind, omega0=w0, omega1=w1,
+                           multipliers=(1.0, 1.0, 1.0)).base(0.0)
+            ok = dynamics._finite_reals(h0, (3,), abs(m)) is not None
+            mults = (1.0, m, 0.5)
+            if ok:
+                FieldSpec(kind=kind, omega0=w0, omega1=w1, multipliers=mults)
+                continue
+            with pytest.raises(ValueError, match=f"{kind} field at tau = 0: "
+                               r"sum \|h_i\| times the largest "
+                               r"\|multiplier\| is not finite"):
+                FieldSpec(kind=kind, omega0=w0, omega1=w1, multipliers=mults)
+
+    def test_constant_z_ignores_omega1(self):
+        spec = FieldSpec(kind="ConstantZ", omega1=1e308)
+        assert np.array_equal(spec.base(0.0), [0.0, 0.0, 1.0])
 
 
 class TestIntegratorConfig:
@@ -125,6 +152,17 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
 
+    @pytest.mark.parametrize("every", [2.5, 2.0, "3", True, np.float64(3)])
+    def test_rejects_sample_every_that_is_no_integer(self, every):
+        with pytest.raises(ValueError, match="sample_every must be an "
+                                             "integer >= 1"):
+            IntegratorConfig(tau_max=1.0, sample_every=every)
+
+    def test_numpy_integer_sample_every(self):
+        cfg = IntegratorConfig(tau_max=1.0, sample_every=np.int64(5))
+        n_steps, taus = cfg.grid()
+        assert n_steps == 1000 and len(taus) == 201
+
     def test_step_limit(self):
         # construction only: a grid at the limit would take 512 MB
         assert IntegratorConfig(tau_max=MAX_STEPS * 1e-3).sample_every == 10
@@ -137,7 +175,7 @@ class TestIntegrate:
         # all-up product state commutes with the constant-z Hamiltonian
         rho0, r0 = pauli.initial_state("Up")
         spec = FieldSpec(kind="ConstantZ")
-        H = pauli.build_hamiltonian(*field_at(spec, 0.0), SECT5)
+        H = pauli.build_hamiltonian(*qubit_fields(spec, 0.0), SECT5)
         assert np.abs(H @ rho0 - rho0 @ H).max() < 1e-14
         ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=5.0))
         assert np.abs(ts.states - ts.states[0]).max() < 1e-12
@@ -210,7 +248,8 @@ class TestIntegrate:
         taus = np.arange(0, 201) * 0.01
         builtin = FieldSpec(kind=kind)
         custom = FieldSpec(kind="Custom", custom=h)
-        for a, b in zip(field_at(builtin, taus), field_at(custom, taus)):
+        for a, b in zip(qubit_fields(builtin, taus),
+                        qubit_fields(custom, taus)):
             assert np.abs(a - b).max() < 1e-15
         _, r0 = pauli.initial_state("W")
         cfg = IntegratorConfig(tau_max=2.0)
@@ -529,6 +568,35 @@ class TestPropagateDirect:
                                  taus[1:])
         assert np.abs(again - full[1:]).max() < 1e-12
 
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_builtin_propagator_matches_sandwich_of_rho0(self, rng, kind,
+                                                         mults, coupling):
+        # the closed form that sandwiched rho0 itself in the eigenbasis of
+        # H(0) + nu S_z, kept as the reference; an irregular grid from
+        # tau = 0.37 whose W rho0 W^dag crosses a block of samples
+        def reference(rho0, spec, coupling, taus):
+            nu = dynamics.ROTATION[spec.kind]
+            sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2]
+                         + pauli.SPIN_N[2]).real
+            w, v = np.linalg.eigh(pauli.build_hamiltonian(
+                *qubit_fields(spec, 0.0), coupling) + nu * np.diag(sz))
+            f = np.exp(1j * nu * taus[:, None] * sz)
+            a = v.conj().T @ (f[0].conj()[:, None] * rho0 * f[0]) @ v
+            a = a * np.exp(-1j * (taus[1:, None, None] - taus[0])
+                           * (w[:, None] - w))
+            a = v @ a @ v.conj().T * f[1:, :, None] * f[1:, None].conj()
+            return np.concatenate([rho0[None], a])
+
+        taus = 0.37 + np.cumsum(rng.uniform(0.0, 0.05, 1500))
+        assert len(taus) > SAMPLE_BLOCK
+        rho0 = random_pure(rng)
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        out = propagate_direct(rho0, spec, coupling, taus)
+        assert np.array_equal(out[0], rho0)
+        assert np.abs(out - reference(rho0, spec, coupling, taus)).max() \
+            <= 1e-13
+
     @BUILTIN_COPIES
     def test_magnus_path_matches_exact_path(self, kind, h):
         # Custom copies take the Magnus steps, built-ins the closed form
@@ -577,7 +645,7 @@ class TestPropagateDirect:
             h = (taus[k] - taus[k - 1]) / n
             for j in range(n):
                 ham = pauli.build_hamiltonian(
-                    *field_at(spec, taus[k - 1] + (j + g) * h), SECT5)
+                    *qubit_fields(spec, taus[k - 1] + (j + g) * h), SECT5)
                 w, v = np.linalg.eigh(np.tensordot(m, ham, axes=1))
                 u = v * np.exp(-1j * h * w)[:, None] @ v.conj().swapaxes(1, 2)
                 u = u[0] @ u[1]

@@ -257,6 +257,10 @@ class TestCli:
         ("tau_max = 1e300", "more than 1000000 steps of dt"),
         ("tau_max = 1e7", "more than 1000000 steps of dt"),
         ("field_kind = Custom", "Custom field requires a callable"),
+        ("tau_max = 0.05\nomega0 = 1e308",
+         "R field at tau = 0: sum |h_i| times the largest |multiplier|"),
+        ("tau_max = 0.05\nfield_kind = ConstantZ\nomega0 = 1e308",
+         "ConstantZ field at tau = 0: sum |h_i| times"),
         ("tau_max = 0.1\ntau_max = 0.05",
          "line 2: key 'tau_max' already set on line 1"),
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
@@ -264,7 +268,8 @@ class TestCli:
             "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
             "output_path_escapes_out", "sample_every_past_float",
             "tau_max_past_float_grid", "tau_max_past_step_limit",
-            "field_kind_custom", "duplicate_key"])
+            "field_kind_custom", "omega0_overflows_multipliers",
+            "constant_z_overflows_multipliers", "duplicate_key"])
     def test_rejected_config_exit_code(self, tmp_path, monkeypatch, capsys,
                                        text, message):
         cfgfile = tmp_path / "bad.cfg"

@@ -77,11 +77,12 @@ class TestHamiltonian:
 
     def test_commutator_matches_finite_difference_of_oracle(self):
         # reference parameters at tau = 0, resonant field, GHZ start
-        from spintrio.dynamics import FieldSpec, field_at, propagate_direct
+        from spintrio.dynamics import FieldSpec, propagate_direct
         spec = FieldSpec(kind="R")
         coupling = CouplingConstants()
         rho0, _ = pauli.initial_state("GHZ")
-        H = pauli.build_hamiltonian(*field_at(spec, 0.0), coupling)
+        H = pauli.build_hamiltonian(
+            *np.multiply.outer(spec.multipliers, spec.base(0.0)), coupling)
         delta = 1e-7
         rho_d = propagate_direct(rho0, spec, coupling, [0.0, delta],
                                  dt=delta)[1]
