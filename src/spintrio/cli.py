@@ -5,6 +5,7 @@ failure, 4 I/O error.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ EXIT_ACCURACY = 3
 EXIT_IO = 4
 
 
+@functools.cache   # the parser is a constant; parse_args keeps no state
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spintrio",

@@ -27,6 +27,8 @@ fixed RK4 steps of dt.
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -60,6 +62,13 @@ EXCHANGE = (np.einsum('aic,bid->abcd', DELTA, pauli.EPS)
 _ODD_Y = (np.indices((4, 4, 4)) == 2).sum(axis=0).ravel() % 2 == 1
 
 
+def _real(v, what):
+    """ValueError unless v is a real number (not a complex number, a str or
+    None) that is finite as a float."""
+    if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):
+        raise ValueError(f"{what} must be finite and real, got {v!r}")
+
+
 @dataclass(frozen=True)
 class CouplingConstants:
     """Isotropic exchange constants for the three qubit pairs."""
@@ -69,8 +78,7 @@ class CouplingConstants:
 
     def __post_init__(self):
         for v in (self.j_ep, self.j_en, self.j_pn):
-            if not math.isfinite(v):
-                raise ValueError("exchange constants must be finite")
+            _real(v, "exchange constants")
 
 
 def _finite_reals(v, shape, scale):
@@ -96,7 +104,7 @@ class FieldSpec:
     Custom     caller-supplied map tau -> base 3-vector H(tau)
 
     Each qubit sees its multiplier times the base field (defaults 1, 2, 4
-    for e, p, n).
+    for e, p, n); any three real numbers are stored as a tuple of floats.
     """
     kind: str = "R"
     omega0: float = 1.0
@@ -109,11 +117,12 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "Custom" and self.custom is None:
             raise ValueError("Custom field requires a callable")
-        if len(self.multipliers) != 3:
+        if np.ndim(self.multipliers) != 1 or len(self.multipliers) != 3:
             raise ValueError("need exactly three per-qubit multipliers")
-        if not np.all(np.isfinite([self.omega0, self.omega1,
-                                   *self.multipliers])):
-            raise ValueError("omega0, omega1 and multipliers must be finite")
+        for v in (self.omega0, self.omega1, *self.multipliers):
+            _real(v, "omega0, omega1 and multipliers")
+        object.__setattr__(self, "multipliers",
+                           tuple(map(float, self.multipliers)))
         # base(0) is -(w1, 0, w0) for R and NR, (0, 0, w0) for ConstantZ
         h0 = abs(self.omega0) + abs(self.omega1) * (self.kind != "ConstantZ")
         if self.kind in ROTATION and not math.isfinite(
@@ -215,14 +224,17 @@ def generators():
     return gens
 
 
+@functools.lru_cache(maxsize=8)
 def stack(mults, coupling):
-    """[M_J; F_x; F_y; F_z], shape (4, 64, 64), for qubit fields
-    mults[q] * h."""
+    """[M_J; F_x; F_y; F_z], shape (4, 64, 64) and read-only, for qubit
+    fields mults[q] * h; mults is a tuple, as FieldSpec.multipliers."""
     gens = generators()
     m_j = np.tensordot([coupling.j_ep, coupling.j_en, coupling.j_pn],
                        gens[9:], axes=1)
     f = np.tensordot(mults, gens[:9].reshape(3, 3, 64, 64), axes=1)
-    return np.concatenate([m_j[None], f])
+    out = np.concatenate([m_j[None], f])
+    out.setflags(write=False)
+    return out
 
 
 def check_gate(dev, taus, tol, what):
@@ -277,6 +289,11 @@ def _rotating_frame(y, spec, gens, taus):
     gz = generators()[2:9:3].sum(axis=0)   # d/dh_z of every qubit
     a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
     u, w, vt = np.linalg.svd((a0 + nu * gz)[~odd][:, odd])
+    # each phase t w is rounded by up to 2^-53 |t w|; tau = 0 is r0 itself
+    with np.errstate(over="ignore"):
+        bound = 2.0 ** -53 * w.max() * taus[1:]
+    check_gate(bound, taus[1:], GATE_TOL,
+               "precision bound 2^-53 max(w) tau of the exact path")
     e, o = np.zeros((2, len(w), len(y)))
     e[:, ~odd], o[:, odd] = u[:, :len(w)].T, vt
     a, b = (e @ y)[:, None], (o @ y)[:, None]
@@ -352,6 +369,17 @@ def _expm(x, theta):
     return p
 
 
+@functools.lru_cache(maxsize=8)
+def _hamiltonians(mults, coupling):
+    """[H_J; F_x; F_y; F_z], (4, 8, 8) and read-only: the exchange alone,
+    then unit fields times mults; H(tau) = [1, h(tau)] @ it."""
+    fields = np.multiply.outer(mults, np.eye(4)[:, 1:])
+    hs = pauli.build_hamiltonian(*fields, CouplingConstants(0, 0, 0))
+    hs[0] = pauli.build_hamiltonian(*fields[:, 0], coupling)
+    hs.setflags(write=False)
+    return hs
+
+
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Density matrices at every tau from rho0, the state at taus[0] (out[0]
     is rho0 itself): the 8x8 propagator W(tau) from taus[0] gives
@@ -378,6 +406,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                               f"got {taus}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
+    hs = _hamiltonians(spec.multipliers, coupling)
     if spec.kind == "Custom":
         # n[k] steps of length h[k] from taus[k] to taus[k + 1]; a count
         # that overflows is inf, which the bound rejects
@@ -389,11 +418,6 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
             raise ValidationError(f"taus / dt asks for more than {MAX_STEPS} "
                                   "steps of dt")
         h, ends = gap / n, np.cumsum(n).astype(int)
-        # H(tau) = [1, h(tau)] @ [H_J; F_x; F_y; F_z]: the exchange alone,
-        # then unit fields along x, y, z times the multipliers alone
-        fields = np.multiply.outer(spec.multipliers, np.eye(4)[:, 1:])
-        hs = pauli.build_hamiltonian(*fields, CouplingConstants(0, 0, 0))
-        hs[0] = pauli.build_hamiltonian(*fields[:, 0], coupling)
         out, w = np.empty((len(taus), 8, 8), dtype=complex), np.eye(8)
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
             i = np.arange(s, min(s + SAMPLE_BLOCK, ends[-1]))
@@ -418,9 +442,8 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     else:   # W = V(tau) exp(-i (tau - taus[0]) (H(0) + nu S_z)) V(taus[0])^dag
         nu = ROTATION[spec.kind]
         sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
-        w, v = np.linalg.eigh(pauli.build_hamiltonian(
-            *np.multiply.outer(spec.multipliers, spec.base(0.0)), coupling)
-            + nu * np.diag(sz))
+        w, v = np.linalg.eigh(np.tensordot(
+            np.insert(spec.base(0.0), 0, 1.0), hs, 1) + nu * np.diag(sz))
         f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
         out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
         out = f[:, :, None] * (out @ (v.conj().T * f[0].conj()))

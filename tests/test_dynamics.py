@@ -138,6 +138,38 @@ class TestFieldAt:
         spec = FieldSpec(kind="ConstantZ", omega1=1e308)
         assert np.array_equal(spec.base(0.0), [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("kw", [
+        {"omega0": 1j}, {"omega1": None}, {"omega0": "1"},
+        {"multipliers": (1, 2, 4j)}, {"multipliers": "124"},
+        {"multipliers": (1, None, 4)}, {"multipliers": np.array([1, 2, 4j])},
+        {"multipliers": None}, {"multipliers": [[1, 2, 4]]},
+        {"omega0": 10 ** 400}, {"multipliers": (1, 2, -10 ** 400)}],
+        ids=["complex_omega0", "none_omega1", "str_omega0",
+             "complex_multiplier", "str_multipliers", "none_multiplier",
+             "complex_array", "none_multipliers", "nested_multipliers",
+             "int_past_float_omega0", "int_past_float_multiplier"])
+    def test_rejects_values_that_are_no_reals(self, kw):
+        with pytest.raises(ValueError,
+                           match="three per-qubit|finite and real"):
+            FieldSpec(**kw)
+
+    @pytest.mark.parametrize("values", [("a", 0, 0), (0, None, 0), (0, 0, 1j),
+                                        (10 ** 400, 0, 0)])
+    def test_coupling_rejects_values_that_are_no_reals(self, values):
+        with pytest.raises(ValueError, match="exchange constants must be "
+                                             "finite and real"):
+            CouplingConstants(*values)
+
+    @pytest.mark.parametrize("mults", [[1, 2, 4], (1.0, 2, 4),
+                                       np.array([1, 2, 4]),
+                                       np.array([1.0, 2.0, 4.0])],
+                             ids=["list", "tuple", "int_array", "array"])
+    def test_multipliers_stored_as_tuple_of_floats(self, mults):
+        spec = FieldSpec(multipliers=mults)
+        assert spec.multipliers == (1.0, 2.0, 4.0)
+        assert all(type(m) is float for m in spec.multipliers)
+        assert hash(spec) == hash(FieldSpec()) and spec == FieldSpec()
+
 
 class TestIntegratorConfig:
     def test_defaults_grid(self):
@@ -375,6 +407,47 @@ def test_custom_field_is_called_once_per_node(entry):
     assert len(calls) == expected
 
 
+class TestCachedStacks:
+    """dynamics.stack (64x64) and the oracle's (8x8) stack are built once
+    per (multipliers, coupling)."""
+    STACKS = pytest.mark.parametrize("build", [dynamics.stack,
+                                               dynamics._hamiltonians],
+                                     ids=["stack", "hamiltonians"])
+
+    @STACKS
+    @OPERATING_POINTS
+    def test_read_only_and_equal_to_a_fresh_build(self, build, mults,
+                                                  coupling):
+        cached = build(mults, coupling)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        assert np.array_equal(cached, build.__wrapped__(mults, coupling))
+        assert build(mults, coupling) is cached
+
+    @OPERATING_POINTS
+    def test_oracle_stack_gives_the_hamiltonian(self, rng, mults, coupling):
+        h = rng.normal(size=3)
+        ref = pauli.build_hamiltonian(*np.multiply.outer(mults, h), coupling)
+        hs = dynamics._hamiltonians(mults, coupling)
+        assert np.abs(np.tensordot(np.insert(h, 0, 1.0), hs, 1) - ref).max() \
+            < 1e-14
+
+    def test_list_tuple_and_array_share_one_entry(self):
+        rho0, r0 = pauli.initial_state("W")
+        cfg = IntegratorConfig(tau_max=0.05)
+        mults = [(0.5, 1.5, 2.5), [0.5, 1.5, 2.5], np.array([0.5, 1.5, 2.5])]
+        for build in (dynamics.stack, dynamics._hamiltonians):
+            build.cache_clear()
+        for m in mults:
+            spec = FieldSpec(multipliers=m)
+            ts = integrate(r0, spec, SECT5, cfg)
+            oracle_deviation(ts, rho0, spec, SECT5)
+        for build in (dynamics.stack, dynamics._hamiltonians):
+            info = build.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+
+
 class TestRotatingFrame:
     # G_z and the y-parity mask are over three qubits; integrate_two runs
     # the same three-qubit generators
@@ -422,6 +495,28 @@ class TestRotatingFrame:
                                      dynamics.stack(spec.multipliers,
                                                     coupling), taus)
         assert np.abs(states.reshape(len(taus), -1) - ref).max() < 1e-12
+
+    # omega0, and the first tau at which 2^-53 max(w) tau passes GATE_TOL;
+    # integrate_two's largest multiplier is 2, so 1e6 stays inside to tau 30
+    @pytest.mark.parametrize("entry, omega0, first", [
+        ("integrate", 1e6, 12.87), ("integrate", 1e12, 0.01),
+        ("integrate", 4e307, 0.01), ("integrate_two", 1e12, 0.01),
+        ("integrate_two", 4e307, 0.01)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phases_past_double_precision_fail_closed(self, entry, omega0,
+                                                      first):
+        # the exact path is orthogonal, so the Bloch drift cannot see the
+        # rounding of the phases t w; the bound does, before any cos
+        spec = FieldSpec(omega0=omega0)
+        msg = (r"precision bound 2\^-53 max\(w\) tau of the exact path is "
+               rf".* first at tau = {first}$")
+        with pytest.raises(AccuracyError, match=msg):
+            if entry == "integrate":
+                integrate(pauli.initial_state("W")[1], spec, SECT5)
+            else:
+                r2 = np.zeros((4, 4))
+                r2[0, 0] = r2[3, 3] = 1.0
+                integrate_two(r2, spec, -0.2)
 
 
 class TestIntegrateTwo:

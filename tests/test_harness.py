@@ -326,6 +326,50 @@ class TestCli:
     def test_bad_arguments(self):
         assert cli.main(["run"]) == 2
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process: a rejected argv leaves
+        # nothing behind for the calls after it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("name = again\ninitial = W\ntau_max = 0.4\n")
+        run = ["run", "--config", str(cfgfile), "--out", str(tmp_path),
+               "--oracle", "on"]
+        csv = tmp_path / "again.csv"
+        assert cli.main(["run", "--preset", "figure1", "--config",
+                         str(cfgfile)]) == 2
+        assert cli.main(run) == 0
+        first = csv.read_bytes()
+        csv.unlink()
+        assert cli.main(["validate", "--config", str(cfgfile)]) == 0
+        assert cli.main(run) == 0
+        assert csv.read_bytes() == first
+        assert cli._build_parser() is cli._build_parser()
+
+    # W start to tau = 30: the exact path's phases t w lose 2^-53 |t w|
+    # each, past GATE_TOL for these fields; the run stops before its first
+    # cos, with or without the oracle
+    @pytest.mark.parametrize("omega0, tau_max", [
+        ("1e6", 30), ("1e12", 30), ("4e307", 0.05)])
+    @pytest.mark.parametrize("oracle", ["off", "on"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phases_past_double_precision_exit_3(self, tmp_path, capsys,
+                                                 omega0, tau_max, oracle):
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text(f"name = big\ninitial = W\ntau_max = {tau_max}\n"
+                           f"omega0 = {omega0}\n")
+        assert cli.main(["run", "--config", str(cfgfile), "--out",
+                         str(tmp_path), "--oracle", oracle]) == 3
+        assert "precision bound 2^-53 max(w) tau of the exact path" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "big.csv").exists()
+
+    @pytest.mark.parametrize("name", list(harness.PRESETS))
+    def test_every_preset_stays_inside_the_precision_bound(self, tmp_path,
+                                                           name):
+        # at full length (tau = 30) and the oracle off: only the Bloch drift
+        # and the precision bound gate these runs
+        assert cli.main(["run", "--preset", name, "--out",
+                         str(tmp_path)]) == 0
+
 
 # Config documents are built key by key from well-typed values (which may
 # still be out of range or inconsistent), then at most one key is given a

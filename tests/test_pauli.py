@@ -120,6 +120,29 @@ class TestConversion:
         assert np.array_equal(pauli.rho_to_r(rhos),
                               [pauli.rho_to_r(m) for m in rhos])
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)],
+                             ids=["one", "stack", "stack_of_stacks"])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_matches_einsum_reference(self, rng, shape, validate):
+        # the einsum rho_to_r used before its single matrix product; the
+        # product sums the same 8 unit-modulus terms per trace in another
+        # order, so they agree to a few ulp of the entries (|rho_ij| <= 1)
+        def einsum_rho_to_r(rho):
+            traces = np.einsum('abcij,...ji->...abc', pauli.BASIS, rho)
+            return np.ascontiguousarray(traces.real)
+
+        n = int(np.prod(shape))
+        if validate:
+            rho = np.stack([random_density(rng) for _ in range(n)])
+        else:   # no density matrix: the real parts of the traces
+            rho = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+        rho = rho.reshape(shape + (8, 8))
+        r = pauli.rho_to_r(rho, validate=validate)
+        assert r.shape == shape + (4, 4, 4) and r.flags.c_contiguous
+        scale = 8 * np.abs(rho).max()
+        assert np.abs(r - einsum_rho_to_r(rho)).max() \
+            <= 4 * scale * np.finfo(float).eps
+
     def test_non_hermitian_rejected(self, rng):
         bad = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         with pytest.raises(ValidationError):
