@@ -21,7 +21,9 @@ is integrate on the (e, p) tensor with n maximally mixed.
 
 The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
 in the frame that turns with them A is constant and the samples are exact:
-dt only sets the sample spacing dt * sample_every.  Custom fields take
+dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
+per field and coupling) are cached per process; each call gates its own
+taus and forms its own amplitudes, phases and turn.  Custom fields take
 fixed RK4 steps of dt.
 """
 
@@ -168,7 +170,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for v in (self.dt, self.tau_max):
-            if not (math.isfinite(v) and v > 0):
+            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
                 raise ValueError("dt and tau_max must be finite and positive")
         if not (isinstance(self.sample_every, (int, np.integer))
                 and self.sample_every is not True and self.sample_every >= 1):
@@ -278,26 +280,34 @@ def _rk4(y, spec, gens, cfg, n_steps):
     return states
 
 
-def _rotating_frame(y, spec, gens, taus):
+@functools.lru_cache(maxsize=8)
+def _modes(spec, coupling):
+    """_rotating_frame's read-only (w, E, O), once per (spec, coupling)."""
+    k = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]),
+                     stack(spec.multipliers, coupling), axes=1)
+    k += ROTATION[spec.kind] * generators()[2:9:3].sum(axis=0)   # nu G_z
+    u, w, vt = np.linalg.svd(k[~_ODD_Y][:, _ODD_Y])
+    e, o = np.zeros((2, len(w), 64))
+    e[:, ~_ODD_Y], o[:, _ODD_Y] = u[:, :len(w)].T, vt
+    w.flags.writeable = e.flags.writeable = o.flags.writeable = False
+    return w, e, o
+
+
+def _rotating_frame(y, spec, coupling, taus):
     """Exact samples from y for a built-in field turning about z at rate
     nu: R(tau) = Z(-nu tau) exp(K tau) R(0), Z(phi) = exp(phi G_z), with
-    K = A(0) + nu G_z constant.  K is real (the field has no y component at
-    tau = 0) and flips the parity of the number of y slots: K = [[0, B],
-    [-B^T, 0]] on (even, odd).  With B = U S V^T, U^T y_even and V^T y_odd
-    turn into each other at the rates S; Z(-nu tau) turns each (x, y) pair."""
-    nu, odd = ROTATION[spec.kind], _ODD_Y
-    gz = generators()[2:9:3].sum(axis=0)   # d/dh_z of every qubit
-    a0 = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]), gens, axes=1)
-    u, w, vt = np.linalg.svd((a0 + nu * gz)[~odd][:, odd])
+    K = A(0) + nu G_z real (h_y(0) = 0) and constant.  K flips the parity
+    of y slots: K = [[0, B], [-B^T, 0]] on (even, odd).  With B = U S V^T,
+    U^T y_even and V^T y_odd turn into each other at the rates S.  _modes
+    caches S and both maps; gate, amplitudes, phases and turn are per call."""
+    (w, e, o), nu = _modes(spec, coupling), ROTATION[spec.kind]
     # each phase t w is rounded by up to 2^-53 |t w|; tau = 0 is r0 itself
     with np.errstate(over="ignore"):
         bound = 2.0 ** -53 * w.max() * taus[1:]
     check_gate(bound, taus[1:], GATE_TOL,
                "precision bound 2^-53 max(w) tau of the exact path")
-    e, o = np.zeros((2, len(w), len(y)))
-    e[:, ~odd], o[:, odd] = u[:, :len(w)].T, vt
     a, b = (e @ y)[:, None], (o @ y)[:, None]
-    rest = np.where(odd, 0.0, y) - (a * e).sum(axis=0)   # U's null columns
+    rest = np.where(_ODD_Y, 0.0, y) - (a * e).sum(axis=0)   # U's null columns
     mc, ms = a * e + b * o, b * e - a * o
     states = np.empty((len(taus), len(y)))
     for s in range(0, len(taus), SAMPLE_BLOCK):
@@ -318,13 +328,12 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
     the rotating frame for a built-in field, RK4 for a Custom one.  Returns
     a TimeSeries with a 'b' channel; raises AccuracyError if the Bloch
     length drifts beyond GATE_TOL."""
-    r0 = pauli.check_normalized(r0)
-    gens = stack(spec.multipliers, coupling)
+    y = pauli.check_normalized(r0).ravel()
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
-        states = _rotating_frame(r0.ravel(), spec, gens, taus)
+        states = _rotating_frame(y, spec, coupling, taus)
     else:
-        states = _rk4(r0.ravel(), spec, gens, cfg, n_steps)
+        states = _rk4(y, spec, stack(spec.multipliers, coupling), cfg, n_steps)
     states = states.reshape((-1, 4, 4, 4))
     b = pauli.bloch_length(states)
     check_gate(np.abs(b - b[0]), taus, GATE_TOL,

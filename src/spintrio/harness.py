@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, measures, pauli
 from .dynamics import (GATE_TOL, ROTATION, CouplingConstants, FieldSpec,
-                       IntegratorConfig, check_gate, integrate,
+                       IntegratorConfig, _modes, check_gate, integrate,
                        oracle_deviation)
 from .errors import ConfigError
 
@@ -154,6 +154,9 @@ def run_scenario(cfg, out_dir=None):
                method="exact" if spec.kind in ROTATION else "rk4",
                b_drift=f"{np.abs(b - b[0]).max():.3e}",
                tau_end=f"{ts.taus[-1]:.11e}")
+    if spec.kind in ROTATION:   # the bound the exact path's gate checks
+        w = _modes(spec, coupling)[0]
+        man["err_bound"] = f"{2.0 ** -53 * w.max() * ts.taus[-1]:.3e}"
     if cfg.oracle_check:
         dev = oracle_deviation(ts, rho0, spec, coupling)
         man["oracle_max_dev"] = f"{np.max(dev):.3e}"

@@ -13,6 +13,8 @@ Conventions (fixed throughout the package):
   * r[0, 0, 0] = 1 mirrors unit trace.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -192,7 +194,7 @@ def initial_state(name, x=None):
     if name == "Mix":
         if x is None:
             raise ValueError("Mix state requires the weight x")
-        if not 1 / 3 < x <= 1:
+        if not (isinstance(x, numbers.Real) and 1 / 3 < x <= 1):
             raise ValueError(f"Mix weight must satisfy 1/3 < x <= 1, got {x}")
         rho = x * _pure("GHZ") + 0.5 * (1 - x) * (_pure("W") + _pure("V"))
     elif x is not None:

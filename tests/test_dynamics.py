@@ -178,8 +178,10 @@ class TestIntegratorConfig:
         assert len(taus) == 3001
         assert taus[1] == pytest.approx(0.01)
 
+    # a str, a complex number or None for dt or tau_max, too
     @pytest.mark.parametrize("kw", [dict(dt=-1e-3), dict(tau_max=0),
-                                    dict(sample_every=0)])
+                                    dict(sample_every=0), dict(dt="1e-3"),
+                                    dict(tau_max=1 + 0j), dict(dt=None)])
     def test_rejects_bad_config(self, kw):
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
@@ -447,6 +449,53 @@ class TestCachedStacks:
             info = build.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
 
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_modes_read_only_and_equal_to_a_fresh_build(self, kind, mults,
+                                                        coupling):
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        cached = dynamics._modes(spec, coupling)
+        for m, fresh in zip(cached, dynamics._modes.__wrapped__(spec,
+                                                                coupling)):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 1.0
+            assert np.array_equal(m, fresh)
+        assert dynamics._modes(spec, coupling) is cached
+
+    @pytest.mark.parametrize("entry", ["integrate", "integrate_two"])
+    @BUILTIN_KINDS
+    def test_cold_and_warm_modes_give_equal_states(self, entry, kind):
+        _, r0 = pauli.initial_state("W")
+        spec, cfg = FieldSpec(kind=kind), IntegratorConfig(tau_max=2.0)
+        run = {"integrate": lambda: integrate(r0, spec, SECT5, cfg).states,
+               "integrate_two": lambda: integrate_two(r0[:, :, 0], spec,
+                                                      -0.2, cfg)[1]}[entry]
+        dynamics._modes.cache_clear()
+        cold = run()
+        warm = run()
+        assert dynamics._modes.cache_info().hits == 1
+        assert np.array_equal(cold, warm)
+
+    def test_fields_couplings_and_pair_reduction_are_distinct_modes(self):
+        # R and NR; figure3's coupled and free couplings; integrate_two's
+        # (m_e, m_p, 0) multipliers with the free coupling
+        _, r0 = pauli.initial_state("Up")
+        cfg = IntegratorConfig(tau_max=0.1)
+        free = CouplingConstants(-0.2, 0.0, 0.0)
+        runs = [lambda: integrate(r0, FieldSpec(kind="R"), SECT5, cfg),
+                lambda: integrate(r0, FieldSpec(kind="NR"), SECT5, cfg),
+                lambda: integrate(r0, FieldSpec(kind="R"), free, cfg),
+                lambda: integrate_two(r0[:, :, 0], FieldSpec(kind="R"),
+                                      -0.2, cfg)]
+        dynamics._modes.cache_clear()
+        for repeat in range(2):
+            for run in runs:
+                run()
+            info = dynamics._modes.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (4, 4 * repeat,
+                                                              4)
+
 
 class TestRotatingFrame:
     # G_z and the y-parity mask are over three qubits; integrate_two runs
@@ -517,6 +566,18 @@ class TestRotatingFrame:
                 r2 = np.zeros((4, 4))
                 r2[0, 0] = r2[3, 3] = 1.0
                 integrate_two(r2, spec, -0.2)
+
+    def test_precision_gate_runs_on_a_cache_hit(self):
+        # the modes are cached, the bound on this call's taus is not
+        spec, r0 = FieldSpec(omega0=1e6), pauli.initial_state("W")[1]
+        dynamics._modes.cache_clear()
+        integrate(r0, spec, SECT5, IntegratorConfig(tau_max=10.0))
+        msg = (r"precision bound 2\^-53 max\(w\) tau of the exact path is "
+               r".* first at tau = 12.87$")
+        with pytest.raises(AccuracyError, match=msg):
+            integrate(r0, spec, SECT5, IntegratorConfig(tau_max=30.0))
+        info = dynamics._modes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestIntegrateTwo:

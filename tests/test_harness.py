@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from spintrio import cli, harness, measures, pauli
+from spintrio import cli, dynamics, harness, measures, pauli
 from spintrio.dynamics import FieldSpec, integrate
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
@@ -194,6 +194,26 @@ class TestRunPreset:
         for k, v in man_f.items():
             if k != "wall_time_s":
                 assert entries.get(f"{k}_free", entries[k]) == str(v)
+
+    def test_figure1_with_cold_and_warm_modes_is_byte_identical(self,
+                                                                tmp_path):
+        # the second run reads every field's modes from the cache; each
+        # manifest records the bound the exact path's gate checks at tau 30
+        dynamics._modes.cache_clear()
+        cold = run_preset("figure1", tmp_path / "cold")
+        warm = run_preset("figure1", tmp_path / "warm")
+        for a, b in zip(cold, warm):
+            assert a.read_bytes() == b.read_bytes()
+            mtext = Path(f"{a}.manifest.txt").read_text()
+            entries = dict(line.split(" = ", 1) for line in mtext.splitlines())
+            assert float(entries["err_bound"]) <= 3.41e-14
+        assert dynamics._modes.cache_info().misses == 2
+
+    def test_figure3_records_both_precision_bounds(self, tmp_path):
+        run_preset("figure3", tmp_path)
+        mtext = (tmp_path / "figure3.csv.manifest.txt").read_text()
+        assert "\nerr_bound = 1.612e-14\n" in mtext
+        assert "\nerr_bound_free = 1.589e-14\n" in mtext
 
     def test_rabi_preset(self, tmp_path):
         (path,) = run_preset("rabi-check", tmp_path, tau_max=2.0)

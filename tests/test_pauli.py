@@ -236,6 +236,11 @@ class TestInitialState:
         with pytest.raises(ValueError):
             pauli.initial_state("XYZ")
 
+    @pytest.mark.parametrize("x", ["x", 0.5j], ids=["str", "complex"])
+    def test_mix_weight_that_is_no_real(self, x):
+        with pytest.raises(ValueError, match="Mix weight must satisfy"):
+            pauli.initial_state("Mix", x=x)
+
     @given(hst.floats(min_value=-2, max_value=1 / 3))
     def test_mix_weight_too_small(self, x):
         with pytest.raises(ValueError):
