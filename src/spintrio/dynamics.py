@@ -7,15 +7,15 @@ expressed in units of the drive frequency omega.
 rhs_three is the one definition of the 63 equations, built from the real
 structure constants of the Pauli algebra: each qubit's slot precesses about
 its field, and the two slots of each pair exchange through one (4, 4, 4, 4)
-operator.  It is linear in the state and in (h, J), so the 64 unit tensors
-give twelve 64x64 generators, one per field component per qubit and one per
-exchange constant.  For a base field h(tau) seen by qubit q as
-multipliers[q] * h(tau),
+operator.  It is linear in the state, so at given fields and coupling the
+64 unit tensors make it one 64x64 matrix.  It is linear in (h, J) too, so
+for a base field h(tau) seen by qubit q as multipliers[q] * h(tau),
 
     A(tau) = M_J + h_x(tau) F_x + h_y(tau) F_y + h_z(tau) F_z,
 
-so a trajectory needs one stack [M_J; F_x; F_y; F_z] and the coefficients
-[1, h_x, h_y, h_z] on the time grid.  With qubit n decoupled (no field, no
+M_J at zero fields, F_i at fields multipliers x e_i and zero coupling: RK4
+needs one stack [M_J; F_x; F_y; F_z] and the coefficients [1, h_x, h_y, h_z]
+on the time grid.  With qubit n decoupled (no field, no
 exchange) the (a, b, 0) components evolve among themselves: integrate_two
 is integrate on the (e, p) tensor with n maximally mixed.
 
@@ -65,9 +65,10 @@ _ODD_Y = (np.indices((4, 4, 4)) == 2).sum(axis=0).ravel() % 2 == 1
 
 
 def _real(v, what):
-    """ValueError unless v is a real number (not a complex number, a str or
-    None) that is finite as a float."""
-    if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):
+    """ValueError unless v is a real number (not a bool, a complex number, a
+    str or None) that is finite as a float."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max):
         raise ValueError(f"{what} must be finite and real, got {v!r}")
 
 
@@ -170,7 +171,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for v in (self.dt, self.tau_max):
-            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and 0 < v < math.inf):
                 raise ValueError("dt and tau_max must be finite and positive")
         if not (isinstance(self.sample_every, (int, np.integer))
                 and self.sample_every is not True and self.sample_every >= 1):
@@ -213,28 +215,21 @@ def rhs_three(r, he, hp, hn, coupling):
             + coupling.j_pn * np.einsum('abcd,...ycd->...yab', x, r))
 
 
-@functools.cache
-def generators():
-    """The twelve 64x64 generators, read-only: d/dh_e, d/dh_p, d/dh_n (x, y,
-    z each), then d/dJ_ep, d/dJ_en, d/dJ_pn.  Column w is the derivative of
-    the w-th unit tensor."""
+def _matrix(fields, coupling):
+    """rhs_three at qubit fields (h_e, h_p, h_n) and coupling as a 64x64
+    matrix: column w is the derivative of the w-th unit tensor."""
     units = np.eye(64).reshape(64, 4, 4, 4)
-    gens = np.stack([rhs_three(units, c[0:3], c[3:6], c[6:9],
-                               CouplingConstants(*c[9:]))
-                     .reshape(64, 64).T for c in np.eye(12)])
-    gens.setflags(write=False)
-    return gens
+    return rhs_three(units, *fields, coupling).reshape(64, 64).T.copy()
 
 
 @functools.lru_cache(maxsize=8)
 def stack(mults, coupling):
     """[M_J; F_x; F_y; F_z], shape (4, 64, 64) and read-only, for qubit
     fields mults[q] * h; mults is a tuple, as FieldSpec.multipliers."""
-    gens = generators()
-    m_j = np.tensordot([coupling.j_ep, coupling.j_en, coupling.j_pn],
-                       gens[9:], axes=1)
-    f = np.tensordot(mults, gens[:9].reshape(3, 3, 64, 64), axes=1)
-    out = np.concatenate([m_j[None], f])
+    zero = CouplingConstants(0.0, 0.0, 0.0)
+    out = np.stack([_matrix(np.zeros((3, 3)), coupling)]
+                   + [_matrix(np.multiply.outer(mults, e), zero)
+                      for e in np.eye(3)])
     out.setflags(write=False)
     return out
 
@@ -253,7 +248,7 @@ def check_gate(dev, taus, tol, what):
 # Samples per block of the rotating-frame path (real) and of the oracle check
 # and Magnus steps per block (complex): bounds their temporaries to a few MB.
 SAMPLE_BLOCK = 1024
-_RK4_BLOCK = 8   # RK4 steps per block of node generators: 17 x 64^2, 544 KB
+_RK4_BLOCK = 8   # RK4 steps per block of node matrices: 17 x 64^2, 544 KB
 
 
 def _rk4(y, spec, gens, cfg, n_steps):
@@ -283,9 +278,9 @@ def _rk4(y, spec, gens, cfg, n_steps):
 @functools.lru_cache(maxsize=8)
 def _modes(spec, coupling):
     """_rotating_frame's read-only (w, E, O), once per (spec, coupling)."""
-    k = np.tensordot(np.concatenate([[1.0], spec.base(0.0)]),
-                     stack(spec.multipliers, coupling), axes=1)
-    k += ROTATION[spec.kind] * generators()[2:9:3].sum(axis=0)   # nu G_z
+    fields = np.multiply.outer(spec.multipliers, spec.base(0.0))
+    fields[:, 2] += ROTATION[spec.kind]   # nu G_z turns all three qubits
+    k = _matrix(fields, coupling)
     u, w, vt = np.linalg.svd(k[~_ODD_Y][:, _ODD_Y])
     e, o = np.zeros((2, len(w), 64))
     e[:, ~_ODD_Y], o[:, _ODD_Y] = u[:, :len(w)].T, vt
@@ -455,10 +450,12 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
             np.insert(spec.base(0.0), 0, 1.0), hs, 1) + nu * np.diag(sz))
         f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
         out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
-        out = f[:, :, None] * (out @ (v.conj().T * f[0].conj()))
+        out = out.reshape(-1, 8) @ (v.conj().T * f[0].conj())   # one BLAS call
+        out = f[:, :, None] * out.reshape(len(taus), 8, 8)
     out[0] = rho0
     for ws in np.split(out, range(1, len(out), SAMPLE_BLOCK))[1:]:
-        ws[:] = ws @ rho0 @ ws.conj().swapaxes(1, 2)   # W rho0 W^dag
+        w_rho0 = (ws.reshape(-1, 8) @ rho0).reshape(ws.shape)   # one BLAS call
+        ws[:] = w_rho0 @ ws.conj().swapaxes(1, 2)   # W rho0 W^dag
     return out
 
 

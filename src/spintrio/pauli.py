@@ -194,7 +194,8 @@ def initial_state(name, x=None):
     if name == "Mix":
         if x is None:
             raise ValueError("Mix state requires the weight x")
-        if not (isinstance(x, numbers.Real) and 1 / 3 < x <= 1):
+        if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and 1 / 3 < x <= 1):
             raise ValueError(f"Mix weight must satisfy 1/3 < x <= 1, got {x}")
         rho = x * _pure("GHZ") + 0.5 * (1 - x) * (_pure("W") + _pure("V"))
     elif x is not None:

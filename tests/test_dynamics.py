@@ -143,18 +143,21 @@ class TestFieldAt:
         {"multipliers": (1, 2, 4j)}, {"multipliers": "124"},
         {"multipliers": (1, None, 4)}, {"multipliers": np.array([1, 2, 4j])},
         {"multipliers": None}, {"multipliers": [[1, 2, 4]]},
-        {"omega0": 10 ** 400}, {"multipliers": (1, 2, -10 ** 400)}],
+        {"omega0": 10 ** 400}, {"multipliers": (1, 2, -10 ** 400)},
+        {"omega0": True}, {"omega1": False}, {"multipliers": [1, True, 4]}],
         ids=["complex_omega0", "none_omega1", "str_omega0",
              "complex_multiplier", "str_multipliers", "none_multiplier",
              "complex_array", "none_multipliers", "nested_multipliers",
-             "int_past_float_omega0", "int_past_float_multiplier"])
+             "int_past_float_omega0", "int_past_float_multiplier",
+             "bool_omega0", "bool_omega1", "bool_multiplier"])
     def test_rejects_values_that_are_no_reals(self, kw):
         with pytest.raises(ValueError,
                            match="three per-qubit|finite and real"):
             FieldSpec(**kw)
 
     @pytest.mark.parametrize("values", [("a", 0, 0), (0, None, 0), (0, 0, 1j),
-                                        (10 ** 400, 0, 0)])
+                                        (10 ** 400, 0, 0), (True, 0, 0),
+                                        (0, 0, False)])
     def test_coupling_rejects_values_that_are_no_reals(self, values):
         with pytest.raises(ValueError, match="exchange constants must be "
                                              "finite and real"):
@@ -178,10 +181,12 @@ class TestIntegratorConfig:
         assert len(taus) == 3001
         assert taus[1] == pytest.approx(0.01)
 
-    # a str, a complex number or None for dt or tau_max, too
+    # a str, a complex number, None or a bool for dt or tau_max, too
     @pytest.mark.parametrize("kw", [dict(dt=-1e-3), dict(tau_max=0),
                                     dict(sample_every=0), dict(dt="1e-3"),
-                                    dict(tau_max=1 + 0j), dict(dt=None)])
+                                    dict(tau_max=1 + 0j), dict(dt=None),
+                                    dict(dt=True, tau_max=10.0),
+                                    dict(tau_max=True)])
     def test_rejects_bad_config(self, kw):
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
@@ -303,7 +308,7 @@ class TestIntegrate:
         coupling = CouplingConstants(0.45, -0.8, 1.1)
         y = pauli.rho_to_r(random_pure(rng)).ravel()
 
-        # the per-step RK4 loop, four generator sums per step
+        # the per-step RK4 loop, four stack sums per step
         dt, every = cfg.dt, cfg.sample_every
         gens = dynamics.stack(spec.multipliers, coupling)
         h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
@@ -422,6 +427,7 @@ class TestCachedStacks:
                                                   coupling):
         cached = build(mults, coupling)
         assert not cached.flags.writeable
+        assert cached.flags.c_contiguous   # RK4 reshapes it without a copy
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 1.0
         assert np.array_equal(cached, build.__wrapped__(mults, coupling))
@@ -442,12 +448,49 @@ class TestCachedStacks:
         for build in (dynamics.stack, dynamics._hamiltonians):
             build.cache_clear()
         for m in mults:
-            spec = FieldSpec(multipliers=m)
+            spec = FieldSpec(kind="Custom", multipliers=m,
+                             custom=FIELD_COPIES["R"])
             ts = integrate(r0, spec, SECT5, cfg)
             oracle_deviation(ts, rho0, spec, SECT5)
         for build in (dynamics.stack, dynamics._hamiltonians):
             info = build.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
+
+    def test_exact_path_builds_no_stack(self):
+        # the stack serves the RK4 path only
+        rho0, r0 = pauli.initial_state("W")
+        cfg = IntegratorConfig(tau_max=0.05)
+        dynamics.stack.cache_clear()
+        for kind in dynamics.ROTATION:
+            spec = FieldSpec(kind=kind)
+            oracle_deviation(integrate(r0, spec, SECT5, cfg), rho0, spec,
+                             SECT5)
+            integrate_two(r0[:, :, 0], spec, -0.2, cfg)
+        assert dynamics.stack.cache_info().misses == 0
+
+    @pytest.mark.parametrize("pair", [False, True], ids=["three", "pair"])
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_modes_equal_those_of_the_stack_form_of_k(self, pair, kind,
+                                                      mults, coupling):
+        # K = [1, h(0)] @ stack + nu G_z, G_z the z stack of unit
+        # multipliers, as the reference for the one-step build of _modes;
+        # the pair reduction is integrate_two's (m_e, m_p, 0)
+        if pair:
+            mults = (*mults[:2], 0.0)
+            coupling = CouplingConstants(coupling.j_ep, 0.0, 0.0)
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        gz = dynamics.stack((1.0, 1.0, 1.0), CouplingConstants(0, 0, 0))[3]
+        k = (np.tensordot(np.concatenate([[1.0], spec.base(0.0)]),
+                          dynamics.stack(mults, coupling), axes=1)
+             + dynamics.ROTATION[kind] * gz)
+        odd = dynamics._ODD_Y
+        u, w, vt = np.linalg.svd(k[~odd][:, odd])
+        e, o = np.zeros((2, len(w), 64))
+        e[:, ~odd], o[:, odd] = u[:, :len(w)].T, vt
+        for m, ref in zip(dynamics._modes.__wrapped__(spec, coupling),
+                          (w, e, o)):
+            assert np.array_equal(m, ref)
 
     @BUILTIN_KINDS
     @OPERATING_POINTS
@@ -499,7 +542,7 @@ class TestCachedStacks:
 
 class TestRotatingFrame:
     # G_z and the y-parity mask are over three qubits; integrate_two runs
-    # the same three-qubit generators
+    # the same three-qubit system
     @pytest.mark.parametrize("qubits", [3])
     @BUILTIN_KINDS
     @OPERATING_POINTS

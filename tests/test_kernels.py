@@ -1,12 +1,12 @@
-"""Cross-checks of the RHS kernels: the einsum RHS, its generator matrices
-and the complex commutator oracle."""
+"""Cross-checks of the RHS kernels: the einsum RHS, the 64x64 stack built
+from it and the complex commutator oracle."""
 
 import numpy as np
 import pytest
 
 from spintrio import pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
-                               generators, integrate, rhs_three, stack)
+                               integrate, rhs_three, stack)
 
 from conftest import kron3, random_density
 
@@ -82,26 +82,31 @@ class TestRhsThree:
         # precession preserves the local Bloch norm
         assert abs(np.dot(d[1:, 0, 0], r[1:, 0, 0])) < 1e-13
 
-    def test_generators_reproduce_rhs(self, rng):
+    # weights that tell the qubits and the pairs apart: swapping two qubits'
+    # multipliers or two pairs' exchange constants changes the stack
+    MULTS, COUPLING = (1.0, 2.0, 4.0), CouplingConstants(1.0, 2.0, 4.0)
+
+    def test_stack_reproduces_rhs(self, rng):
+        gens = stack(self.MULTS, self.COUPLING)
         for _ in range(10):
             r = pauli.rho_to_r(random_density(rng))
-            coeffs = rng.normal(size=12)
-            a = np.tensordot(coeffs, generators(), axes=1)
-            a = a @ r.ravel()
-            b = rhs_three(r, coeffs[0:3], coeffs[3:6], coeffs[6:9],
-                          CouplingConstants(*coeffs[9:]))
-            assert np.abs(a - b.ravel()).max() < 1e-14
+            h = rng.normal(size=3)
+            a = np.tensordot(np.concatenate([[1.0], h]), gens, axes=1)
+            b = rhs_three(r, *np.multiply.outer(self.MULTS, h), self.COUPLING)
+            assert np.abs(a @ r.ravel() - b.ravel()).max() < 1e-13
 
-    def test_generators_equal_commutator_bit_for_bit(self):
-        # column w of each generator is the commutator's derivative of the
-        # w-th unit tensor; every entry is -1, 0 or 1, so both are exact
+    def test_stack_equals_commutator_bit_for_bit(self):
+        # column w of each matrix is the commutator's derivative of the w-th
+        # unit tensor; every entry is 0 or +-1, 2 or 4, so both are exact
         units = np.eye(64).reshape(64, 4, 4, 4)
+        zero = CouplingConstants(0.0, 0.0, 0.0)
+        weights = [(np.zeros((3, 3)), self.COUPLING)] + [
+            (np.multiply.outer(self.MULTS, e), zero) for e in np.eye(3)]
         ref = np.stack([
-            np.stack([commutator_rhs3(u, c[0:3], c[3:6], c[6:9],
-                                      CouplingConstants(*c[9:])).ravel()
+            np.stack([commutator_rhs3(u, *fields, coupling).ravel()
                       for u in units], axis=1)
-            for c in np.eye(12)])
-        assert np.array_equal(generators(), ref)
+            for fields, coupling in weights])
+        assert np.array_equal(stack(self.MULTS, self.COUPLING), ref)
 
 
 class TestRhsTwo:

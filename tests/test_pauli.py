@@ -236,7 +236,8 @@ class TestInitialState:
         with pytest.raises(ValueError):
             pauli.initial_state("XYZ")
 
-    @pytest.mark.parametrize("x", ["x", 0.5j], ids=["str", "complex"])
+    @pytest.mark.parametrize("x", ["x", 0.5j, True],
+                             ids=["str", "complex", "bool"])
     def test_mix_weight_that_is_no_real(self, x):
         with pytest.raises(ValueError, match="Mix weight must satisfy"):
             pauli.initial_state("Mix", x=x)
