@@ -91,7 +91,7 @@ def _finite_reals(v, shape, scale):
     except (TypeError, ValueError):   # e.g. values of different lengths
         return None
     with np.errstate(over="ignore"):
-        ok = (v.dtype.kind in "biuf" and v.shape == shape
+        ok = (v.dtype.kind in "iuf" and v.shape == shape
               and np.isfinite(scale * np.abs(v).sum(axis=-1)).all())
     return v.astype(float) if ok else None
 

@@ -6,6 +6,7 @@ Default parameters are the reference operating point: omega0 = 1, omega1 =
 per-qubit field multipliers (1, 2, 4), tau_max = 30.
 """
 
+import functools
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -14,9 +15,9 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__, measures, pauli
-from .dynamics import (GATE_TOL, ROTATION, CouplingConstants, FieldSpec,
-                       IntegratorConfig, _modes, check_gate, integrate,
-                       oracle_deviation)
+from .dynamics import (GATE_TOL, ROTATION, SAMPLE_BLOCK, CouplingConstants,
+                       FieldSpec, IntegratorConfig, _modes, check_gate,
+                       integrate, oracle_deviation)
 from .errors import ConfigError
 
 
@@ -107,12 +108,56 @@ def parse_config(source):
     return cfg
 
 
+@functools.cache
+def _words():
+    """Five 4-byte words spell each value of a CSV row: "-", d0, ".", d1 |
+    d2-d5 | d6-d9 | d10, d11, "e", NUL | exponent, separator."""
+    return np.frombuffer(("%04d" * 10000 % tuple(range(10000)) + "".join(
+        [f"-{d // 10}.{d % 10}" for d in range(100)]
+        + [f"{d:02d}e\0" for d in range(100)]
+        + [f"{e:+03d}{c}" for c in ",\n" for e in range(-33, 12)])).encode(),
+        np.uint32)
+
+
+_WORD_AT = np.array([10000, 0, 0, 10100, 10200])[:, None]   # word k's start
+_SPLIT = np.array([1e10, 1e6, 1e2, 1.0])[:, None]   # n // these: 2, 6, 10, 12
+_STEP = _SPLIT[:3] / _SPLIT[1:]
+_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+_K = np.arange(44, -1, -1)   # 10^(11 - e) = _LO _HI at e + 33, e in [-33, 11]
+_LO, _HI = _POW10[np.minimum(_K, 22)], _POW10[np.maximum(_K - 22, 0)]
+
+
 def write_csv(path, taus, channels):
-    """np.savetxt's bytes (fmt "%.11e", a header) from one % operation."""
+    """np.savetxt's bytes (fmt "%.11e", a header), SAMPLE_BLOCK rows at once.
+
+    s = |x| 10^(11-e), two exact products, is within 2.2e-4 of exact, so its
+    rint n holds the 12 digits where s >= 1e11 - 0.04, n < 1e12, |s-n| < 0.499.
+    Zero is exact; every other value (a tie, nan, inf, e past -33..11) uses %.
+    """
     data = np.column_stack([taus, *channels.values()])
-    row = ",".join(["%.11e"] * data.shape[1]) + "\n"
-    Path(path).write_text("tau," + ",".join(channels) + "\n"
-                          + (row * len(data)) % tuple(data.ravel()))
+    with open(path, "wb") as f, np.errstate(all="ignore"):
+        f.write(("tau," + ",".join(channels) + "\n").encode())
+        for start in range(0, len(data), SAMPLE_BLOCK):
+            x = data[start:start + SAMPLE_BLOCK].ravel()
+            a = np.abs(x)
+            zero = a == 0
+            i = np.fmax(np.fmin(np.log10(a + zero) + 33, 44), 0).astype(int)
+            s = a * _LO.take(i) * _HI.take(i)   # i = e + 33
+            n = np.rint(s)
+            ok = ((s >= 1e11 - 0.04) & (n < 1e12) & (abs(s - n) < 0.499)
+                  | zero)
+            w = np.vstack([np.floor(n / _SPLIT), i])   # see _words
+            w[1:4] -= w[:3] * _STEP
+            w[4, data.shape[1] - 1::data.shape[1]] += 45   # "\n" ends a row
+            w += _WORD_AT
+            # a value left to % may index past the table: clip, then overwrite
+            out = _words().take(w.astype(int), mode="clip").T.copy().view("u1")
+            out[:, 0] *= np.signbit(x)   # "-" only where the sign bit is set
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                text = ("%.11e\n" * bad.size % tuple(x[bad])).split()
+                out[bad, :19] = np.array(text, "S19")[:, None].view("u1")
+            f.write(out[out != 0].tobytes())
 
 
 def csv_path(out_dir, name):

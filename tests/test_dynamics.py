@@ -362,9 +362,10 @@ class TestIntegrate:
 @pytest.mark.parametrize("value, after", [
     ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
     ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0), ((1j, 0.0, 1.0), 0.1),
-    (("x", "y", "z"), 0.1), ((1e308, 0.0, 1.0), 0.1)],
+    (("x", "y", "z"), 0.1), ((1e308, 0.0, 1.0), 0.1),
+    ((True, False, True), -1.0)],
     ids=["nan", "inf", "two_components", "two_components_throughout",
-         "complex", "strings", "overflows_multipliers"])
+         "complex", "strings", "overflows_multipliers", "bools_throughout"])
 @pytest.mark.parametrize("entry", ["integrate", "integrate_two",
                                    "propagate_direct"])
 def test_bad_custom_field_is_a_validation_error(entry, value, after):

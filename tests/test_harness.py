@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from spintrio import cli, dynamics, harness, measures, pauli
 from spintrio.dynamics import FieldSpec, integrate
@@ -158,6 +159,21 @@ class TestRunScenario:
             run_scenario(ScenarioConfig(initial="Nope"))
 
 
+def percent_form(taus, channels):
+    """The CSV text of one "%.11e" % over every value: the writer before
+    the vectorized one, kept as the reference."""
+    data = np.column_stack([taus, *channels.values()])
+    row = ",".join(["%.11e"] * data.shape[1]) + "\n"
+    return ("tau," + ",".join(channels) + "\n"
+            + (row * len(data)) % tuple(data.ravel()))
+
+
+def assert_writes_percent_form(path, data):
+    channels = {f"c{i}": data[:, i] for i in range(1, data.shape[1])}
+    harness.write_csv(path, data[:, 0], channels)
+    assert path.read_bytes() == percent_form(data[:, 0], channels).encode()
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [1, 3001])
     @pytest.mark.parametrize("width", [1, 8])
@@ -176,6 +192,38 @@ class TestWriteCsv:
                        header="tau," + ",".join(channels))
             assert ((tmp_path / "a.csv").read_bytes()
                     == (tmp_path / "b.csv").read_bytes())
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=9),
+                      elements=hst.floats()))
+    def test_any_floats_match_percent_form(self, data):
+        # subnormals, +-0, nan, +-inf and every exponent
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writes_percent_form(Path(tmp) / "a.csv", data)
+
+    def test_rounding_boundaries_match_percent_form(self, tmp_path):
+        # the doubles next to each rounding tie (n + 1/2) 10^(e - 11), to
+        # 9.999999999995 10^e and to 10^e, for every exponent the scaled
+        # path can take and a few past it; 3-digit exponents; more rows than
+        # SAMPLE_BLOCK, so a block boundary falls inside the file
+        rng = np.random.default_rng(19)
+        e = np.arange(-40, 16)
+        n = np.concatenate([[1e11, 5e11, 1e12 - 1],
+                            rng.integers(10 ** 11, 10 ** 12, 12)])
+        centres = np.concatenate([
+            ((n[:, None] + 0.5) * 10.0 ** (e - 11)).ravel(),
+            9.999999999995 * 10.0 ** e, 10.0 ** e,
+            [1e100, 1.5e-100, 9.99999999999e99, 1e308, 2.2250738585072014e-308,
+             5e-324]])
+        values = np.concatenate([np.nextafter(centres, -np.inf), centres,
+                                 np.nextafter(centres, np.inf)])
+        values = np.concatenate([values, -values])
+        data = np.resize(rng.permutation(values),
+                         (dynamics.SAMPLE_BLOCK + 7, 6))
+        assert data.size >= values.size
+        assert_writes_percent_form(tmp_path / "a.csv", data)
 
 
 class TestRunPreset:
