@@ -96,6 +96,11 @@ def _finite_reals(v, shape, scale):
     return v.astype(float) if ok else None
 
 
+def _has_bool(v):
+    """Whether the sequence v holds a Python or numpy bool."""
+    return any(isinstance(c, (bool, np.bool_)) for c in v)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Driving-field model.
@@ -136,16 +141,20 @@ class FieldSpec:
     def base(self, tau):
         """Base field H(tau) before the per-qubit multipliers, shape
         tau.shape + (3,).  A Custom callable is called once per tau; a
-        value that is not three reals whose sum of |h_i| is finite times
-        each multiplier is a ValidationError naming the first tau."""
+        value that is not three reals (a bool is none) whose sum of |h_i| is
+        finite times each multiplier is a ValidationError naming the first
+        tau."""
         tau = np.asarray(tau, dtype=float)
         if self.kind == "Custom":
             t, m = tau.ravel(), max(map(abs, self.multipliers))
             values = [self.custom(x) for x in t] or np.empty((0, 3))
             h = _finite_reals(values, (len(t), 3), m)
-            if h is None:
+            # numpy reads a bool among floats as 1.0 or 0.0, so only a row
+            # holding such a value can hide one
+            suspect = [] if h is None else np.nonzero((h == 0) | (h == 1))[0]
+            if h is None or any(_has_bool(values[k]) for k in suspect):
                 k = next(k for k, v in enumerate(values)
-                         if _finite_reals(v, (3,), m) is None)
+                         if _finite_reals(v, (3,), m) is None or _has_bool(v))
                 raise ValidationError(
                     f"Custom field at tau = {t[k]:.6g} is {values[k]!r}, not "
                     "three reals that stay finite times the multipliers")

@@ -6,7 +6,9 @@ Default parameters are the reference operating point: omega0 = 1, omega1 =
 per-qubit field multipliers (1, 2, 4), tau_max = 30.
 """
 
+import contextlib
 import functools
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -127,15 +129,29 @@ _K = np.arange(44, -1, -1)   # 10^(11 - e) = _LO _HI at e + 33, e in [-33, 11]
 _LO, _HI = _POW10[np.minimum(_K, 22)], _POW10[np.maximum(_K - 22, 0)]
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """path opened to write from its start without O_TRUNC (a truncate to
+    zero makes ext4 flush on close), cut to length on exit, even on error."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        try:
+            yield f
+        finally:
+            size = os.fstat(f.fileno()).st_size   # 0 on /dev/null and FIFOs
+            if size and size > f.tell():
+                f.truncate()
+
+
 def write_csv(path, taus, channels):
     """np.savetxt's bytes (fmt "%.11e", a header), SAMPLE_BLOCK rows at once.
 
     s = |x| 10^(11-e), two exact products, is within 2.2e-4 of exact, so its
     rint n holds the 12 digits where s >= 1e11 - 0.04, n < 1e12, |s-n| < 0.499.
     Zero is exact; every other value (a tie, nan, inf, e past -33..11) uses %.
+    An existing file is rewritten in place and cut to length (_overwrite).
     """
     data = np.column_stack([taus, *channels.values()])
-    with open(path, "wb") as f, np.errstate(all="ignore"):
+    with _overwrite(path) as f, np.errstate(all="ignore"):
         f.write(("tau," + ",".join(channels) + "\n").encode())
         for start in range(0, len(data), SAMPLE_BLOCK):
             x = data[start:start + SAMPLE_BLOCK].ravel()
@@ -170,8 +186,8 @@ def _write(out_dir, name, taus, channels, man):
     path = csv_path(out_dir, name)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, taus, channels)
-    Path(f"{path}.manifest.txt").write_text(
-        "".join(f"{k} = {v}\n" for k, v in man.items()))
+    with _overwrite(f"{path}.manifest.txt") as f:
+        f.write("".join(f"{k} = {v}\n" for k, v in man.items()).encode())
     return path
 
 

@@ -152,13 +152,25 @@ def test_criterion_8_local_rotation_invariance():
            f"max measure change = {worst:.3e} (tol 1e-10)")
 
 
+def _outputs(out_dir, tag):
+    """A run's CSV bytes and its manifest lines but the wall time."""
+    manifest = (out_dir / f"{tag}.manifest.txt").read_text().splitlines()
+    return ((out_dir / tag).read_bytes(),
+            [x for x in manifest if not x.startswith("wall_time_s")])
+
+
 def test_criterion_9_deterministic_csv(tmp_path):
+    # a is run fresh, then over its own files at a longer tau_max and again
+    # at 5: each time it must match b, a fresh run at 5
+    a, b = tmp_path / "a", tmp_path / "b"
     for preset, tag in [("fixed-point", "fixed_point.csv"),
                         ("figure3", "figure3.csv")]:
-        run_preset(preset, tmp_path / "a", tau_max=5.0)
-        run_preset(preset, tmp_path / "b", tau_max=5.0)
-        a = (tmp_path / "a" / tag).read_bytes()
-        b = (tmp_path / "b" / tag).read_bytes()
-        if a != b:
-            report(f"9 deterministic CSV ({preset})", False, "files differ")
-    report("9 deterministic CSV", True, "byte-identical outputs")
+        run_preset(preset, b, tau_max=5.0)
+        for tau_maxes in [(5.0,), (8.0, 5.0)]:
+            for tau_max in tau_maxes:
+                run_preset(preset, a, tau_max=tau_max)
+            if _outputs(a, tag) != _outputs(b, tag):
+                report(f"9 deterministic CSV ({preset})", False,
+                       f"files differ after tau_max {tau_maxes}")
+    report("9 deterministic CSV", True,
+           "byte-identical outputs, fresh and rewritten")

@@ -363,9 +363,11 @@ class TestIntegrate:
     ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
     ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0), ((1j, 0.0, 1.0), 0.1),
     (("x", "y", "z"), 0.1), ((1e308, 0.0, 1.0), 0.1),
-    ((True, False, True), -1.0)],
+    ((True, False, True), -1.0), ((True, False, True), 0.1),
+    ((True, 0.5, 1.0), -1.0)],
     ids=["nan", "inf", "two_components", "two_components_throughout",
-         "complex", "strings", "overflows_multipliers", "bools_throughout"])
+         "complex", "strings", "overflows_multipliers", "bools_throughout",
+         "bools_after_floats", "bool_in_float_tuple"])
 @pytest.mark.parametrize("entry", ["integrate", "integrate_two",
                                    "propagate_direct"])
 def test_bad_custom_field_is_a_validation_error(entry, value, after):

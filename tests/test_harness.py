@@ -225,6 +225,39 @@ class TestWriteCsv:
         assert data.size >= values.size
         assert_writes_percent_form(tmp_path / "a.csv", data)
 
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for rows in (3001, 5):
+            assert_writes_percent_form(tmp_path / "a.csv",
+                                       rng.normal(size=(rows, 3)))
+
+    def test_failed_rewrite_leaves_only_the_header(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "a.csv"
+        taus = np.arange(3001) * 0.01
+        harness.write_csv(path, taus, {"b": taus})
+
+        def fail():
+            raise RuntimeError("no table")
+        monkeypatch.setattr(harness, "_words", fail)
+        with pytest.raises(RuntimeError, match="no table"):
+            harness.write_csv(path, taus[:5], {"m_sm": taus[:5]})
+        assert path.read_bytes() == b"tau,m_sm\n"
+
+    def test_writes_to_dev_null(self):
+        harness.write_csv("/dev/null", np.arange(3.0), {"b": np.ones(3)})
+
+    def test_rewrite_keeps_csv_and_manifest_inodes(self, tmp_path):
+        # in place: neither replaced by a renamed file nor unlinked first
+        cfg = ScenarioConfig(name="r", initial="W", tau_max=2.0)
+        path = harness.csv_path(tmp_path, "r")
+        run_scenario(cfg, tmp_path)
+        files = [path, Path(f"{path}.manifest.txt")]
+        inodes = [f.stat().st_ino for f in files]
+        run_scenario(with_overrides(cfg, tau_max=1.0), tmp_path)
+        assert [f.stat().st_ino for f in files] == inodes
+        assert len(path.read_text().splitlines()) == 102
+
 
 class TestRunPreset:
     def test_figure3_merged_csv(self, tmp_path):
