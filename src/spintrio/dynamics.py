@@ -245,13 +245,17 @@ def stack(mults, coupling):
 
 def check_gate(dev, taus, tol, what):
     """Raise AccuracyError, naming the largest deviation and the first
-    sampled tau where dev is not within tol; NaN and inf fail."""
+    sampled tau where dev, (n,) or (n, k) for a stack of k, is not within
+    tol; of a stack, it names the first index failing there and the
+    largest deviation of that index.  NaN and inf fail."""
     outside = ~(dev <= tol)
     if outside.any():
-        worst = float(np.max(dev))
+        t, *k = np.unravel_index(outside.argmax(), outside.shape)
+        worst = float(np.max(dev[:, k[0]] if k else dev))
+        at = f" of stack index {k[0]}" if k else ""
         raise AccuracyError(
             f"{what} is {worst:.3e} (tolerance {tol:.0e}), first at "
-            f"tau = {taus[outside.argmax()]:.6g}", worst)
+            f"tau = {taus[t]:.6g}{at}", worst, *k)
 
 
 # Samples per block of the rotating-frame path (real) and of the oracle check
@@ -261,13 +265,14 @@ _RK4_BLOCK = 8   # RK4 steps per block of node matrices: 17 x 64^2, 544 KB
 
 
 def _rk4(y, spec, gens, cfg, n_steps):
-    """Samples of classical fixed-step RK4 from y for dR/dtau = A(tau) R:
-    dt/2 A at the half-step nodes of _RK4_BLOCK steps is one product."""
+    """Samples of classical fixed-step RK4 from y, (64,) or (64, k), for
+    dR/dtau = A(tau) R, shape (n,) + y.shape: dt/2 A at the half-step
+    nodes of _RK4_BLOCK steps is one product."""
     dt, every = cfg.dt, cfg.sample_every
     # the weights dt/2 [1, h] on the half-step grid, shape (2 n_steps + 1, 4)
     h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
     coeffs = 0.5 * dt * np.concatenate([np.ones((len(h), 1)), h], axis=-1)
-    states = np.empty((n_steps // every + 1, len(y)))
+    states = np.empty((n_steps // every + 1,) + y.shape)
     states[0] = y
     for s in range(0, n_steps, _RK4_BLOCK):
         a = coeffs[2 * s:2 * (s + _RK4_BLOCK) + 1] @ gens.reshape(4, -1)
@@ -297,48 +302,59 @@ def _modes(spec, coupling):
     return w, e, o
 
 
-def _rotating_frame(y, spec, coupling, taus):
-    """Exact samples from y for a built-in field turning about z at rate
-    nu: R(tau) = Z(-nu tau) exp(K tau) R(0), Z(phi) = exp(phi G_z), with
-    K = A(0) + nu G_z real (h_y(0) = 0) and constant.  K flips the parity
-    of y slots: K = [[0, B], [-B^T, 0]] on (even, odd).  With B = U S V^T,
-    U^T y_even and V^T y_odd turn into each other at the rates S.  _modes
-    caches S and both maps; gate, amplitudes, phases and turn are per call."""
+def _rotating_frame(ys, spec, coupling, taus):
+    """Exact samples from the rows of ys, (k, 64), for a built-in field
+    turning about z at rate nu, shape (n, k * 64): R(tau) = Z(-nu tau)
+    exp(K tau) R(0), Z(phi) = exp(phi G_z), with K = A(0) + nu G_z real
+    (h_y(0) = 0) and constant.  K flips the parity of y slots:
+    K = [[0, B], [-B^T, 0]] on (even, odd).  With B = U S V^T, U^T y_even
+    and V^T y_odd turn into each other at the rates S.  _modes caches S and
+    both maps; gate, amplitudes, phases and turn are per call, and the
+    phases are shared by the whole stack."""
     (w, e, o), nu = _modes(spec, coupling), ROTATION[spec.kind]
     # each phase t w is rounded by up to 2^-53 |t w|; tau = 0 is r0 itself
     with np.errstate(over="ignore"):
         bound = 2.0 ** -53 * w.max() * taus[1:]
     check_gate(bound, taus[1:], GATE_TOL,
                "precision bound 2^-53 max(w) tau of the exact path")
-    a, b = (e @ y)[:, None], (o @ y)[:, None]
-    rest = np.where(_ODD_Y, 0.0, y) - (a * e).sum(axis=0)   # U's null columns
-    mc, ms = a * e + b * o, b * e - a * o
-    states = np.empty((len(taus), len(y)))
+    # a and b, each (28, k, 1), by two products per tensor: one
+    # (k, 64) @ (64, 28) product rounds otherwise
+    a, b = np.array([(e @ y, o @ y) for y in ys]).transpose(1, 2, 0)[..., None]
+    e, o = e[:, None], o[:, None]
+    rest = np.where(_ODD_Y, 0.0, ys) - (a * e).sum(axis=0)   # U's null columns
+    mc = (a * e + b * o).reshape(len(w), -1)
+    ms = (b * e - a * o).reshape(len(w), -1)
+    states = np.empty((len(taus), ys.size))
     for s in range(0, len(taus), SAMPLE_BLOCK):
         t = taus[s:s + SAMPLE_BLOCK, None]
         block = states[s:s + SAMPLE_BLOCK]
-        block[:] = np.cos(t * w) @ mc + np.sin(t * w) @ ms + rest
+        block[:] = np.cos(t * w) @ mc + np.sin(t * w) @ ms + rest.ravel()
         c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
         for q in range(3):   # the slot of qubit q is axis 2 of v
-            v = block.reshape(len(t), 4 ** q, 4, -1)
+            v = block.reshape(len(t), -1, 4, 4 ** (2 - q))
             px, py = v[:, :, 1], v[:, :, 2]
             v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
-    states[0] = y   # tau = 0 is r0 itself, as on the RK4 path
+    states[0] = ys.ravel()   # tau = 0 is r0 itself, as on the RK4 path
     return states
 
 
 def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
-    """Integrate the 63-equation system from the 4x4x4 tensor r0: exact in
-    the rotating frame for a built-in field, RK4 for a Custom one.  Returns
-    a TimeSeries with a 'b' channel; raises AccuracyError if the Bloch
-    length drifts beyond GATE_TOL."""
-    y = pauli.check_normalized(r0).ravel()
+    """Integrate the 63-equation system from the 4x4x4 tensor r0, or from
+    each tensor of a (k, 4, 4, 4) stack: exact in the rotating frame for a
+    built-in field, RK4 for a Custom one.  Returns a TimeSeries with a 'b'
+    channel: states (n, 4, 4, 4) and b (n,) for one tensor, (n, k, 4, 4, 4)
+    and (n, k) for a stack.  Raises AccuracyError if a Bloch length drifts
+    beyond GATE_TOL, naming the first tau and, in a stack, the index."""
+    r0 = pauli.check_normalized(r0)
+    ys = r0.reshape(-1, 64)
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
-        states = _rotating_frame(y, spec, coupling, taus)
-    else:
+        states = _rotating_frame(ys, spec, coupling, taus)
+    else:   # one tensor steps as a (64,) vector, a stack as (64, k)
+        y = ys[0] if r0.ndim == 3 else ys.T
         states = _rk4(y, spec, stack(spec.multipliers, coupling), cfg, n_steps)
-    states = states.reshape((-1, 4, 4, 4))
+        states = np.ascontiguousarray(np.moveaxis(states, -1, 1))
+    states = states.reshape((len(taus),) + r0.shape)
     b = pauli.bloch_length(states)
     check_gate(np.abs(b - b[0]), taus, GATE_TOL,
                "Bloch length drift of the three-qubit integration")
@@ -347,11 +363,13 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
 
 def integrate_two(r2_0, spec, j_ep, cfg=IntegratorConfig()):
     """Integrate the two-qubit reduction for the (e, p) pair from the 4x4
-    tensor r2_0; returns (taus, states).  This is the three-qubit system
-    from r0[a, b, 0] = r2_0[a, b] with n decoupled (h_n = 0, j_en = j_pn =
-    0), so a drift names the three-qubit integration."""
-    r0 = np.zeros((4, 4, 4))
-    r0[:, :, 0] = pauli.check_normalized(r2_0, 2)
+    tensor r2_0 or a (k, 4, 4) stack; returns (taus, states), states of
+    shape (n,) + r2_0.shape.  This is the three-qubit system from
+    r0[..., a, b, 0] = r2_0[..., a, b] with n decoupled (h_n = 0, j_en =
+    j_pn = 0), so a drift names the three-qubit integration."""
+    r2_0 = pauli.check_normalized(r2_0, 2)
+    r0 = np.zeros(r2_0.shape + (4,))
+    r0[..., 0] = r2_0
     m = spec.multipliers
     ts = integrate(r0, replace(spec, multipliers=(m[0], m[1], 0.0)),
                    CouplingConstants(j_ep, 0.0, 0.0), cfg)

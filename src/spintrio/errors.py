@@ -18,8 +18,9 @@ class ConfigError(SpintrioError, ValueError):
 
 
 class AccuracyError(SpintrioError):
-    """An integration failed its a-posteriori accuracy check (exit code 3)."""
+    """An integration failed its a-posteriori accuracy check (exit code 3);
+    index is the failing tensor's index when a stack was checked."""
 
-    def __init__(self, message, magnitude=None):
+    def __init__(self, message, magnitude=None, index=None):
         super().__init__(message)
-        self.magnitude = magnitude
+        self.magnitude, self.index = magnitude, index

@@ -17,10 +17,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__, measures, pauli
-from .dynamics import (GATE_TOL, ROTATION, SAMPLE_BLOCK, CouplingConstants,
-                       FieldSpec, IntegratorConfig, _modes, check_gate,
+from .dynamics import (GATE_TOL, SAMPLE_BLOCK, CouplingConstants, FieldSpec,
+                       IntegratorConfig, TimeSeries, _modes, check_gate,
                        integrate, oracle_deviation)
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,9 @@ _STEP = _SPLIT[:3] / _SPLIT[1:]
 _POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
 _K = np.arange(44, -1, -1)   # 10^(11 - e) = _LO _HI at e + 33, e in [-33, 11]
 _LO, _HI = _POW10[np.minimum(_K, 22)], _POW10[np.maximum(_K - 22, 0)]
+# Most values a CSV may hold to be written by one "%.11e" %: on small files
+# that beats the byte pass's fixed cost of some 40 numpy calls.
+_PERCENT_MAX = 160
 
 
 @contextlib.contextmanager
@@ -148,11 +151,16 @@ def write_csv(path, taus, channels):
     s = |x| 10^(11-e), two exact products, is within 2.2e-4 of exact, so its
     rint n holds the 12 digits where s >= 1e11 - 0.04, n < 1e12, |s-n| < 0.499.
     Zero is exact; every other value (a tie, nan, inf, e past -33..11) uses %.
-    An existing file is rewritten in place and cut to length (_overwrite).
+    A file of at most _PERCENT_MAX values is one % instead.  An existing file
+    is rewritten in place and cut to length (_overwrite).
     """
     data = np.column_stack([taus, *channels.values()])
     with _overwrite(path) as f, np.errstate(all="ignore"):
         f.write(("tau," + ",".join(channels) + "\n").encode())
+        if data.size <= _PERCENT_MAX:
+            row = ",".join(["%.11e"] * data.shape[1]) + "\n"
+            f.write((row * len(data) % tuple(data.ravel())).encode())
+            return
         for start in range(0, len(data), SAMPLE_BLOCK):
             x = data[start:start + SAMPLE_BLOCK].ravel()
             a = np.abs(x)
@@ -182,13 +190,73 @@ def csv_path(out_dir, name):
     return Path(out_dir) / f"{name}.csv"
 
 
-def _write(out_dir, name, taus, channels, man):
-    path = csv_path(out_dir, name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(path, taus, channels)
-    with _overwrite(f"{path}.manifest.txt") as f:
-        f.write("".join(f"{k} = {v}\n" for k, v in man.items()).encode())
-    return path
+def _write(out_dir, runs):
+    """Write each (name, taus, channels, manifest) of runs into out_dir,
+    made once; returns the CSV paths."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, taus, channels, man in runs:
+        paths.append(csv_path(out_dir, name))
+        write_csv(paths[-1], taus, channels)
+        with _overwrite(f"{paths[-1]}.manifest.txt") as f:
+            f.write("".join(f"{k} = {v}\n" for k, v in man.items()).encode())
+    return paths
+
+
+def _run_group(cfgs, out_dir=None):
+    """Run scenarios that differ only in name, initial, x and measures as
+    one stacked integrate; evaluate each channel once over the runs that
+    ask for it.  Returns one (TimeSeries, manifest) per config.  Files are
+    written only once every run has passed its gates; each run's
+    wall_time_s is an even share of the shared work plus its own.
+    """
+    start = time.perf_counter()
+    built = [_build(c) for c in cfgs]
+    _, _, spec, coupling, integ = built[0]
+    try:
+        ts = integrate(np.array([r0 for _, r0, *_ in built]), spec, coupling,
+                       integ)
+    except AccuracyError as exc:
+        if exc.index is None:
+            raise
+        raise AccuracyError(f"scenario {cfgs[exc.index].name!r}: {exc}",
+                            exc.magnitude) from None
+    b = ts.channels["b"]
+    chans = [{"b": b[:, i]} for i in range(len(cfgs))]
+    for name in dict.fromkeys(ch for c in cfgs for ch in c.measures):
+        idx = [i for i, c in enumerate(cfgs) if name in c.measures]
+        states = ts.states if len(idx) == len(cfgs) else ts.states[:, idx]
+        values = measures.evaluate_channels(states, [name])[name]
+        for j, i in enumerate(idx):
+            chans[i][name] = values[:, j]
+    w = _modes(spec, coupling)[0]   # the exact path's gate checks this bound
+    err_bound = f"{2.0 ** -53 * w.max() * ts.taus[-1]:.3e}"
+    shared = (time.perf_counter() - start) / len(cfgs)
+
+    runs = []
+    for i, (cfg, (rho0, *_)) in enumerate(zip(cfgs, built)):
+        start = time.perf_counter()
+        member = TimeSeries(ts.taus, ts.states[:, i], chans[i])
+        man = {}
+        for f in fields(cfg):
+            v = getattr(cfg, f.name)
+            man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
+        # exact: rotating-frame propagation, dt sets only the sample spacing
+        man.update(code_version=__version__, method="exact",
+                   b_drift=f"{np.abs(b[:, i] - b[0, i]).max():.3e}",
+                   tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
+        if cfg.oracle_check:
+            dev = oracle_deviation(member, rho0, spec, coupling)
+            man["oracle_max_dev"] = f"{np.max(dev):.3e}"
+            check_gate(dev, ts.taus, GATE_TOL,
+                       f"oracle deviation of scenario {cfg.name!r}")
+        man["wall_time_s"] = f"{shared + time.perf_counter() - start:.3f}"
+        runs.append((member, man))
+    if out_dir is not None:   # the measures, then b unless it is one of them
+        _write(out_dir, [(c.name, ts.taus,
+                          {n: m.channels[n] for n in (*c.measures, "b")}, man)
+                         for c, (m, man) in zip(cfgs, runs)])
+    return runs
 
 
 def run_scenario(cfg, out_dir=None):
@@ -198,38 +266,7 @@ def run_scenario(cfg, out_dir=None):
     as `key = value` lines.  The CSV goes to csv_path(out_dir, cfg.name)
     when out_dir is given; no file is written otherwise.
     """
-    start = time.perf_counter()
-    rho0, r0, spec, coupling, integ = _build(cfg)
-    ts = integrate(r0, spec, coupling, integ)
-
-    chans = measures.evaluate_channels(ts.states, cfg.measures)
-    ts.channels.update(chans)
-
-    man = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
-    b = ts.channels["b"]
-    # exact: rotating-frame propagation, dt sets only the sample spacing
-    man.update(code_version=__version__,
-               method="exact" if spec.kind in ROTATION else "rk4",
-               b_drift=f"{np.abs(b - b[0]).max():.3e}",
-               tau_end=f"{ts.taus[-1]:.11e}")
-    if spec.kind in ROTATION:   # the bound the exact path's gate checks
-        w = _modes(spec, coupling)[0]
-        man["err_bound"] = f"{2.0 ** -53 * w.max() * ts.taus[-1]:.3e}"
-    if cfg.oracle_check:
-        dev = oracle_deviation(ts, rho0, spec, coupling)
-        man["oracle_max_dev"] = f"{np.max(dev):.3e}"
-        check_gate(dev, ts.taus, GATE_TOL,
-                   f"oracle deviation of scenario {cfg.name!r}")
-    man["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
-
-    if out_dir is not None:
-        csv_chans = {n: chans[n] for n in cfg.measures}
-        csv_chans.setdefault("b", b)
-        _write(out_dir, cfg.name, ts.taus, csv_chans, man)
-    return ts, man
+    return _run_group([cfg], out_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +332,8 @@ def with_overrides(cfg, oracle=None, dt=None, tau_max=None):
 
 def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     """Run every scenario of a preset; returns the list of CSV paths written.
+    Configs that differ only in name, initial, x and measures run as one
+    group (_run_group).
 
     figure3 merges its two runs into one CSV with channels p_flip_coupled
     and p_flip_free; its manifest is the coupled run's, plus each entry of
@@ -303,8 +342,12 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     cfgs = [with_overrides(c, oracle, dt, tau_max)
             for c in preset_configs(name)]
     if name != "figure3":
+        groups = {}
         for c in cfgs:
-            run_scenario(c, out_dir)
+            key = replace(c, name="", initial="", x=None, measures=())
+            groups.setdefault(key, []).append(c)
+        for group in groups.values():
+            _run_group(group, out_dir)
         return [csv_path(out_dir, c.name) for c in cfgs]
 
     (ts_c, man_c), (ts_f, man_f) = (run_scenario(c) for c in cfgs)
@@ -314,4 +357,4 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     man["wall_time_s"] = f"{wall:.3f}"
     chans = {"p_flip_coupled": ts_c.channels["p_flip"],
              "p_flip_free": ts_f.channels["p_flip"]}
-    return [_write(out_dir, name, ts_c.taus, chans, man)]
+    return _write(out_dir, [(name, ts_c.taus, chans, man)])

@@ -120,30 +120,35 @@ def rho_to_r(rho, validate=True):
 
 
 def check_normalized(r, qubits=3):
-    """r as a float array; raises ValidationError unless it has `qubits`
-    axes of length 4, finite entries, its identity component r[0, ..., 0]
-    is 1 (unit trace) and its Bloch length is at most that of a pure state,
-    sqrt(2^qubits - 1), within GATE_TOL."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (4,) * qubits:
-        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)}, "
-                              f"got {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("R tensor has non-finite entries")
-    if not abs(r.flat[0] - 1.0) <= 1e-12:
-        raise ValidationError(f"identity component is {r.flat[0]}, "
-                              "expected 1")
-    b, pure = bloch_length(r, qubits), np.sqrt(2.0 ** qubits - 1)
-    if not b <= pure + GATE_TOL:
-        raise ValidationError(f"Bloch length {b:.6g} exceeds {pure:.6g}, "
-                              "that of a pure state")
+    """r as a float array; raises ValidationError unless r is one tensor
+    with `qubits` axes of length 4, or a non-empty stack of them, and each
+    has finite entries, its identity component r[0, ..., 0] is 1 (unit
+    trace) and its Bloch length is at most that of a pure state,
+    sqrt(2^qubits - 1), within GATE_TOL.  A stack's message names the index
+    of its first failing tensor."""
+    r, one = np.asarray(r, dtype=float), (4,) * qubits
+    if r.shape != one and not (r.shape[1:] == one and len(r)):
+        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)} "
+                              f"or a stack of them, got {r.shape}")
+    for i, t in enumerate(r.reshape((-1,) + one)):
+        at = "" if r.shape == one else f"stack index {i}: "
+        if not np.all(np.isfinite(t)):
+            raise ValidationError(f"{at}R tensor has non-finite entries")
+        if not abs(t.flat[0] - 1.0) <= 1e-12:
+            raise ValidationError(f"{at}identity component is {t.flat[0]}, "
+                                  "expected 1")
+        b, pure = bloch_length(t, qubits), np.sqrt(2.0 ** qubits - 1)
+        if not b <= pure + GATE_TOL:
+            raise ValidationError(f"{at}Bloch length {b:.6g} exceeds "
+                                  f"{pure:.6g}, that of a pure state")
     return r
 
 
 def r_to_rho(r, validate=True):
-    """Inverse of rho_to_r: rho = (1/8) sum r[a,b,c] sigma_a x sigma_b x sigma_c."""
+    """Inverse of rho_to_r, for one R tensor or a stack:
+    rho = (1/8) sum r[a,b,c] sigma_a x sigma_b x sigma_c."""
     r = check_normalized(r) if validate else np.asarray(r, dtype=float)
-    return np.einsum('abc,abcij->ij', r, BASIS) / 8.0
+    return np.einsum('...abc,abcij->...ij', r, BASIS) / 8.0
 
 
 def bloch_length(r, qubits=3):

@@ -359,6 +359,73 @@ class TestIntegrate:
             integrate(r0, spec, SECT5, IntegratorConfig(tau_max=0.1))
 
 
+# The five start states of figure1, as one stack.
+FIGURE1_STATES = [("S", None), ("BS", None), ("GHZ", None), ("W", None),
+                  ("Mix", 2 / 3)]
+FIGURE1_STACK = np.stack([pauli.initial_state(n, x)[1]
+                          for n, x in FIGURE1_STATES])
+
+
+class TestStackedIntegrate:
+    @BUILTIN_KINDS
+    def test_exact_stack_equals_per_state_calls(self, kind):
+        # tau = 30: 3001 samples, more than two blocks of SAMPLE_BLOCK
+        ts = integrate(FIGURE1_STACK, FieldSpec(kind=kind), SECT5)
+        assert ts.states.shape == (3001, 5, 4, 4, 4)
+        assert ts.channels["b"].shape == (3001, 5)
+        for i, r0 in enumerate(FIGURE1_STACK):
+            one = integrate(r0, FieldSpec(kind=kind), SECT5)
+            assert np.array_equal(ts.states[:, i], one.states)
+            assert np.array_equal(ts.channels["b"][:, i], one.channels["b"])
+
+    def test_rk4_stack_matches_per_state_calls(self):
+        # one (64, 64) @ (64, 5) product per stage rounds unlike five
+        # matrix-vector products, so the stack agrees within rounding
+        copy = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
+        cfg = IntegratorConfig(tau_max=1.0)
+        ts = integrate(FIGURE1_STACK, copy, SECT5, cfg)
+        assert ts.states.shape == (101, 5, 4, 4, 4)
+        for i, r0 in enumerate(FIGURE1_STACK):
+            one = integrate(r0, copy, SECT5, cfg)
+            assert np.abs(ts.states[:, i] - one.states).max() <= 1e-14
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "stack index 3: R tensor has non-finite entries"),
+        (5.0, "stack index 3: Bloch length 5.65685 exceeds 2.64575")],
+        ids=["nan", "too_long"])
+    def test_bad_tensor_of_a_stack_is_named_by_index(self, value, message):
+        r0 = FIGURE1_STACK.copy()
+        r0[3, 1, 0, 0] = value
+        with pytest.raises(ValidationError, match=message):
+            integrate(r0, FieldSpec(kind="R"), SECT5,
+                      IntegratorConfig(tau_max=0.1))
+
+    def test_drift_of_one_tensor_names_tau_and_index(self, monkeypatch):
+        # from sample 7 on, tensor 3 (W) is scaled by 1 + 1e-6: its Bloch
+        # length drifts by sqrt(7) 1e-6, the others not at all
+        real = dynamics._rotating_frame
+
+        def drifting(ys, *args):
+            states = real(ys, *args)
+            states[7:, 3 * 64:4 * 64] *= 1 + 1e-6
+            return states
+        monkeypatch.setattr(dynamics, "_rotating_frame", drifting)
+        with pytest.raises(AccuracyError, match=r"is 2\.646e-06 .* first at "
+                           r"tau = 0\.07 of stack index 3$") as info:
+            integrate(FIGURE1_STACK, FieldSpec(kind="R"), SECT5,
+                      IntegratorConfig(tau_max=0.5))
+        assert info.value.index == 3
+
+    def test_integrate_two_accepts_a_stack(self):
+        # the (e, p) marginals of the five states
+        r2 = FIGURE1_STACK[:, :, :, 0]
+        taus, states = integrate_two(r2, FieldSpec(kind="NR"), -0.2)
+        assert states.shape == (len(taus), 5, 4, 4)
+        for i in range(5):
+            _, one = integrate_two(r2[i], FieldSpec(kind="NR"), -0.2)
+            assert np.array_equal(states[:, i], one)
+
+
 @pytest.mark.parametrize("value, after", [
     ((np.nan, 0.0, 1.0), 0.1), ((0.0, -np.inf, 1.0), 0.1),
     ((0.3, 1.0), 0.1), ((0.3, 1.0), -1.0), ((1j, 0.0, 1.0), 0.1),
@@ -817,7 +884,7 @@ class TestPropagateDirect:
             propagate_direct(np.eye(8), FieldSpec(kind="R"), SECT5, [0.0])
 
     @pytest.mark.parametrize("kind", ["R", "Custom"])
-    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("count", [1, 2, 5])
     def test_rejects_a_stack_of_densities(self, kind, count):
         rho0, _ = pauli.initial_state("W")
         spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])

@@ -169,9 +169,14 @@ def percent_form(taus, channels):
 
 
 def assert_writes_percent_form(path, data):
+    # both writers: as the size picks, then the byte pass, whatever the size
     channels = {f"c{i}": data[:, i] for i in range(1, data.shape[1])}
-    harness.write_csv(path, data[:, 0], channels)
-    assert path.read_bytes() == percent_form(data[:, 0], channels).encode()
+    for most in (harness._PERCENT_MAX, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_PERCENT_MAX", most)
+            harness.write_csv(path, data[:, 0], channels)
+        assert path.read_bytes() == percent_form(data[:, 0],
+                                                 channels).encode()
 
 
 class TestWriteCsv:
@@ -233,15 +238,27 @@ class TestWriteCsv:
 
     def test_failed_rewrite_leaves_only_the_header(self, tmp_path,
                                                    monkeypatch):
+        # a rewrite too large for the % form fails in the byte pass
         path = tmp_path / "a.csv"
         taus = np.arange(3001) * 0.01
         harness.write_csv(path, taus, {"b": taus})
+        rows = harness._PERCENT_MAX // 2 + 1
 
         def fail():
             raise RuntimeError("no table")
         monkeypatch.setattr(harness, "_words", fail)
         with pytest.raises(RuntimeError, match="no table"):
-            harness.write_csv(path, taus[:5], {"m_sm": taus[:5]})
+            harness.write_csv(path, taus[:rows], {"m_sm": taus[:rows]})
+        assert path.read_bytes() == b"tau,m_sm\n"
+
+    def test_failed_small_rewrite_leaves_only_the_header(self, tmp_path):
+        # a small rewrite fails in its one %, on a value it cannot format
+        path = tmp_path / "a.csv"
+        taus = np.arange(3001) * 0.01
+        harness.write_csv(path, taus, {"b": taus})
+        with pytest.raises(TypeError, match="real number"):
+            harness.write_csv(path, taus[:5],
+                              {"m_sm": np.array(["x"] * 5, dtype=object)})
         assert path.read_bytes() == b"tau,m_sm\n"
 
     def test_writes_to_dev_null(self):
@@ -296,11 +313,64 @@ class TestRunPreset:
         assert "\nerr_bound = 1.612e-14\n" in mtext
         assert "\nerr_bound_free = 1.589e-14\n" in mtext
 
+    @pytest.mark.parametrize("oracle", [False, True], ids=["off", "on"])
+    def test_grouped_runs_write_the_files_of_runs_alone(self, tmp_path,
+                                                        oracle):
+        # figure1 and figure2 run as two stacked groups each; every file
+        # must be the one its config writes when run alone (figure3 merges
+        # two runs alone: its columns must be theirs)
+        def rows(path):
+            return [r.split(",") for r in path.read_text().splitlines()]
+        for name in harness.PRESETS:
+            paths = run_preset(name, tmp_path / "preset", oracle=oracle,
+                               tau_max=2.0)
+            alone = [run_scenario(with_overrides(c, oracle, tau_max=2.0),
+                                  tmp_path / "alone")[1]
+                     for c in preset_configs(name)]
+            if name == "figure3":
+                merged = rows(paths[0])
+                coupled, free = (rows(tmp_path / "alone" / f"{m['name']}.csv")
+                                 for m in alone)
+                assert merged[1:] == [[t, c, f] for (t, c, _), (_, f, _)
+                                      in zip(coupled[1:], free[1:])]
+                continue
+            for path, man in zip(paths, alone):
+                assert len(man) == len(_manifest(path)) + 1
+                assert (_manifest(path)
+                        == _manifest(tmp_path / "alone" / path.name))
+                assert (path.read_bytes()
+                        == (tmp_path / "alone" / path.name).read_bytes())
+            assert ("oracle_max_dev" in man) == oracle
+
+    def test_drift_in_one_member_fails_its_group(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # figure1's R group is S, BS, GHZ, W, Mix: W's Bloch length drifts;
+        # the run ends in exit 3 naming it, and its group writes no file
+        real = dynamics._rotating_frame
+
+        def drifting(ys, *args):
+            states = real(ys, *args)
+            states[7:, 3 * 64:4 * 64] *= 1 + 1e-6
+            return states
+        monkeypatch.setattr(dynamics, "_rotating_frame", drifting)
+        assert cli.main(["run", "--preset", "figure1", "--tau-max", "2",
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "scenario 'figure1_W_R': Bloch length drift" in err
+        assert "first at tau = 0.07 of stack index 3" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rabi_preset(self, tmp_path):
         (path,) = run_preset("rabi-check", tmp_path, tau_max=2.0)
         data = np.genfromtxt(path, delimiter=",", names=True)
         expected = np.sin(0.15 * data["tau"]) ** 2
         assert np.abs(data["p_flip_e"] - expected).max() < 1e-6
+
+
+def _manifest(csv):
+    """A CSV's manifest lines but the wall time."""
+    return [x for x in Path(f"{csv}.manifest.txt").read_text().splitlines()
+            if not x.startswith("wall_time_s")]
 
 
 class TestCli:

@@ -164,6 +164,10 @@ class TestConversion:
             rho = random_density(rng)
             back = pauli.r_to_rho(pauli.rho_to_r(rho))
             assert np.abs(back - rho).max() < 1e-13
+        # check_normalized passes a stack, so r_to_rho takes one too
+        rhos = np.stack([random_density(rng) for _ in range(3)])
+        back = pauli.r_to_rho(pauli.rho_to_r(rhos))
+        assert np.abs(back - rhos).max() < 1e-13
 
     def test_mix_two_thirds_spectrum(self):
         rho, r = pauli.initial_state("Mix", x=2 / 3)
