@@ -22,9 +22,9 @@ is integrate on the (e, p) tensor with n maximally mixed.
 The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
 in the frame that turns with them A is constant and the samples are exact:
 dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
-per field and coupling) are cached per process; each call gates its own
-taus and forms its own amplitudes, phases and turn.  Custom fields take
-fixed RK4 steps of dt.
+per field and coupling) are cached per process, and so is the oracle's
+eigenbasis; each call gates its own taus and forms its own amplitudes,
+phases and turn.  Custom fields take fixed RK4 steps of dt.
 """
 
 import functools
@@ -411,6 +411,19 @@ def _hamiltonians(mults, coupling):
     return hs
 
 
+@functools.lru_cache(maxsize=8)
+def _eigenbasis(spec, coupling):
+    """The read-only (w, v, sz) of a built-in field: the eigenvalues and
+    eigenvectors of H(0) + nu S_z and the diagonal of S_z, once per (spec,
+    coupling)."""
+    hs = _hamiltonians(spec.multipliers, coupling)
+    sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
+    h0 = np.tensordot(np.insert(spec.base(0.0), 0, 1.0), hs, 1)
+    w, v = np.linalg.eigh(h0 + ROTATION[spec.kind] * np.diag(sz))
+    w.flags.writeable = v.flags.writeable = sz.flags.writeable = False
+    return w, v, sz
+
+
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Density matrices at every tau from rho0, the state at taus[0] (out[0]
     is rho0 itself): the 8x8 propagator W(tau) from taus[0] gives
@@ -418,12 +431,12 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
     Built-in fields are exact: in the frame V(tau) = exp(i nu tau S_z) that
     turns with the field the Hamiltonian is the constant H(0) + nu S_z, so
-    one eigendecomposition gives W at every tau.  Custom fields take steps
-    of at most dt, at most MAX_STEPS in all, of the 4th-order
-    commutator-free Magnus method: two exponentials at the Gauss nodes
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), Taylor
-    exponentials of bounded degree built SAMPLE_BLOCK steps at a time and
-    multiplied into W, so memory is bounded on any gap.
+    one eigendecomposition, cached per (spec, coupling), gives W at every
+    tau.  Custom fields take steps of at most dt, at most MAX_STEPS in all,
+    of the 4th-order commutator-free Magnus method: two exponentials at the
+    Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
+    Taylor exponentials of bounded degree built SAMPLE_BLOCK steps at a
+    time and multiplied into W, so memory is bounded on any gap.
     A step whose exponent's largest row sum is not below pi, the Magnus
     convergence radius, is a ValidationError naming its tau: lower dt.
     """
@@ -437,8 +450,8 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                               f"got {taus}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and positive, got {dt}")
-    hs = _hamiltonians(spec.multipliers, coupling)
     if spec.kind == "Custom":
+        hs = _hamiltonians(spec.multipliers, coupling)
         # n[k] steps of length h[k] from taus[k] to taus[k + 1]; a count
         # that overflows is inf, which the bound rejects
         with np.errstate(over="ignore"):
@@ -471,10 +484,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                 if last:
                     out[k1] = w
     else:   # W = V(tau) exp(-i (tau - taus[0]) (H(0) + nu S_z)) V(taus[0])^dag
-        nu = ROTATION[spec.kind]
-        sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
-        w, v = np.linalg.eigh(np.tensordot(
-            np.insert(spec.base(0.0), 0, 1.0), hs, 1) + nu * np.diag(sz))
+        (w, v, sz), nu = _eigenbasis(spec, coupling), ROTATION[spec.kind]
         f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
         out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
         out = out.reshape(-1, 8) @ (v.conj().T * f[0].conj())   # one BLAS call

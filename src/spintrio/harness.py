@@ -52,9 +52,11 @@ def _build(cfg):
     if (cfg.name in ("", ".", "..") or "\0" in cfg.name
             or Path(cfg.name).name != cfg.name):
         raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
-    for ch in cfg.measures:
+    for i, ch in enumerate(cfg.measures):
         if ch not in measures.CHANNELS:
             raise ConfigError(f"unknown measure channel {ch!r}")
+        if ch in cfg.measures[:i]:
+            raise ConfigError(f"measure channel {ch!r} is listed twice")
     try:
         rho0, r0 = pauli.initial_state(cfg.initial, cfg.x)
         spec = FieldSpec(kind=cfg.field_kind, omega0=cfg.omega0,
@@ -242,12 +244,16 @@ def _run_group(cfgs, out_dir=None):
             v = getattr(cfg, f.name)
             man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
         # exact: rotating-frame propagation, dt sets only the sample spacing
+        drift = np.abs(b[:, i] - b[0, i]).max()
         man.update(code_version=__version__, method="exact",
-                   b_drift=f"{np.abs(b[:, i] - b[0, i]).max():.3e}",
+                   b_drift=f"{drift:.3e}",
+                   drift_margin=f"{GATE_TOL - drift:.3e}",
                    tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
         if cfg.oracle_check:
             dev = oracle_deviation(member, rho0, spec, coupling)
-            man["oracle_max_dev"] = f"{np.max(dev):.3e}"
+            worst = np.max(dev)
+            man.update(oracle_max_dev=f"{worst:.3e}",
+                       oracle_margin=f"{GATE_TOL - worst:.3e}")
             check_gate(dev, ts.taus, GATE_TOL,
                        f"oracle deviation of scenario {cfg.name!r}")
         man["wall_time_s"] = f"{shared + time.perf_counter() - start:.3f}"

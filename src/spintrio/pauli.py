@@ -13,6 +13,7 @@ Conventions (fixed throughout the package):
   * r[0, 0, 0] = 1 mirrors unit trace.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -202,12 +203,22 @@ def initial_state(name, x=None):
         if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
                 and 1 / 3 < x <= 1):
             raise ValueError(f"Mix weight must satisfy 1/3 < x <= 1, got {x}")
-        rho = x * _pure("GHZ") + 0.5 * (1 - x) * (_pure("W") + _pure("V"))
     elif x is not None:
         raise ValueError(f"weight x only applies to the Mix state, not {name}")
-    elif name in _KETS:
-        rho = _pure(name)
-    else:
+    elif name not in _KETS:
         raise ValueError(f"unknown initial state {name!r}; "
                          f"choose one of {STATE_NAMES}")
-    return rho, rho_to_r(rho)
+    return tuple(a.copy() for a in _state(name, x))
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _state(name, x):
+    """initial_state's read-only (rho, r), once per checked (name, x); typed,
+    so a weight of another type (1 and 1.0) is built on its own."""
+    if name == "Mix":
+        rho = x * _pure("GHZ") + 0.5 * (1 - x) * (_pure("W") + _pure("V"))
+    else:
+        rho = _pure(name)
+    r = rho_to_r(rho)
+    rho.flags.writeable = r.flags.writeable = False
+    return rho, r

@@ -576,6 +576,34 @@ class TestCachedStacks:
             assert np.array_equal(m, fresh)
         assert dynamics._modes(spec, coupling) is cached
 
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_eigenbasis_read_only_and_equal_to_a_fresh_build(self, kind,
+                                                             mults, coupling):
+        # the oracle's (w, v, sz): v diag(w) v^dag is H(0) + nu S_z as the
+        # Hamiltonian builder makes it
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        cached = dynamics._eigenbasis(spec, coupling)
+        for m, fresh in zip(cached, dynamics._eigenbasis.__wrapped__(
+                spec, coupling)):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 1.0
+            assert np.array_equal(m, fresh)
+        assert dynamics._eigenbasis(spec, coupling) is cached
+        w, v, sz = cached
+        ref = (pauli.build_hamiltonian(*qubit_fields(spec, 0.0), coupling)
+               + dynamics.ROTATION[kind] * np.diag(sz))
+        assert np.abs((v * w) @ v.conj().T - ref).max() < 1e-13
+
+    def test_custom_field_fills_no_eigenbasis(self):
+        rho0, _ = pauli.initial_state("W")
+        spec = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
+        dynamics._eigenbasis.cache_clear()
+        propagate_direct(rho0, spec, SECT5, np.linspace(0.0, 0.05, 6))
+        info = dynamics._eigenbasis.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
+
     @pytest.mark.parametrize("entry", ["integrate", "integrate_two"])
     @BUILTIN_KINDS
     def test_cold_and_warm_modes_give_equal_states(self, entry, kind):

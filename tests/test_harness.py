@@ -71,6 +71,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="channel"):
             parse_config("measures = m_sm, entropy")
 
+    def test_channel_listed_twice(self):
+        # the CSV would hold one column where the manifest names two
+        with pytest.raises(ConfigError, match="'b' is listed twice"):
+            parse_config("measures = b, m_sm, b")
+        with pytest.raises(ConfigError, match="'c3' is listed twice"):
+            run_scenario(ScenarioConfig(measures=("c3", "c3"), **FAST))
+
 
 class TestPresets:
     def test_listing(self):
@@ -153,6 +160,38 @@ class TestRunScenario:
                              **FAST)
         _, man = run_scenario(cfg, out_dir=tmp_path)
         assert float(man["oracle_max_dev"]) <= 1e-8
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["off", "on"])
+    def test_manifest_records_margins_to_the_gates(self, tmp_path, oracle,
+                                                   monkeypatch):
+        # the states drift by 1e-10 of their size from sample 7 on, so both
+        # margins sit visibly below GATE_TOL at %.3e (an exact run's drift
+        # and deviation, some 1e-14, would read 1.000e-08 either way)
+        real = dynamics._rotating_frame
+
+        def drifting(ys, *args):
+            states = real(ys, *args)
+            states[7:] *= 1 + 1e-10
+            return states
+        monkeypatch.setattr(dynamics, "_rotating_frame", drifting)
+        cfg = ScenarioConfig(name="margins", initial="W",
+                             oracle_check=oracle, **FAST)
+        ts, man = run_scenario(cfg, out_dir=tmp_path)
+        b = ts.channels["b"]
+        drift = np.abs(b - b[0]).max()
+        assert 1e-10 < drift < 1e-9
+        assert man["drift_margin"] == f"{1e-8 - drift:.3e}"
+        assert ("oracle_margin" in man) == oracle
+        if oracle:
+            dev = np.max(dynamics.oracle_deviation(
+                ts, pauli.initial_state("W")[0], FieldSpec(),
+                dynamics.CouplingConstants()))
+            assert 1e-11 < dev < 1e-9
+            assert man["oracle_max_dev"] == f"{dev:.3e}"
+            assert man["oracle_margin"] == f"{1e-8 - dev:.3e}"
+        lines = (tmp_path / "margins.csv.manifest.txt").read_text()
+        for key in ("drift_margin", "oracle_margin")[:1 + oracle]:
+            assert f"\n{key} = {man[key]}\n" in lines
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -295,17 +334,23 @@ class TestRunPreset:
 
     def test_figure1_with_cold_and_warm_modes_is_byte_identical(self,
                                                                 tmp_path):
-        # the second run reads every field's modes from the cache; each
-        # manifest records the bound the exact path's gate checks at tau 30
-        dynamics._modes.cache_clear()
-        cold = run_preset("figure1", tmp_path / "cold")
-        warm = run_preset("figure1", tmp_path / "warm")
-        for a, b in zip(cold, warm):
-            assert a.read_bytes() == b.read_bytes()
+        # the second run reads every field's modes, every field's oracle
+        # eigenbasis and every start state from the caches; each manifest
+        # records the bound the exact path's gate checks at tau 30.  The
+        # oracle only checks: the run without it writes the same CSVs.
+        caches = (dynamics._modes, dynamics._eigenbasis, pauli._state)
+        for cache in caches:
+            cache.cache_clear()
+        cold = run_preset("figure1", tmp_path / "cold", oracle=True)
+        warm = run_preset("figure1", tmp_path / "warm", oracle=True)
+        off = run_preset("figure1", tmp_path / "off")
+        for a, b, c in zip(cold, warm, off):
+            assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+            assert _manifest(a) == _manifest(b)
             mtext = Path(f"{a}.manifest.txt").read_text()
             entries = dict(line.split(" = ", 1) for line in mtext.splitlines())
             assert float(entries["err_bound"]) <= 3.41e-14
-        assert dynamics._modes.cache_info().misses == 2
+        assert [c.cache_info().misses for c in caches] == [2, 2, 5]
 
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
@@ -434,13 +479,15 @@ class TestCli:
          "ConstantZ field at tau = 0: sum |h_i| times"),
         ("tau_max = 0.1\ntau_max = 0.05",
          "line 2: key 'tau_max' already set on line 1"),
+        ("measures = m_sm, m_sm", "measure channel 'm_sm' is listed twice"),
     ], ids=["omega1_nan", "multiplier_inf", "mix_c3", "dt_nan",
             "tau_max_nan", "dt_inf", "name_escapes_out",
             "tau_max_below_one_sample", "name_nul", "name_empty", "not_utf8",
             "output_path_escapes_out", "sample_every_past_float",
             "tau_max_past_float_grid", "tau_max_past_step_limit",
             "field_kind_custom", "omega0_overflows_multipliers",
-            "constant_z_overflows_multipliers", "duplicate_key"])
+            "constant_z_overflows_multipliers", "duplicate_key",
+            "measure_twice"])
     def test_rejected_config_exit_code(self, tmp_path, monkeypatch, capsys,
                                        text, message):
         cfgfile = tmp_path / "bad.cfg"

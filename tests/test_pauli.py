@@ -258,6 +258,35 @@ class TestInitialState:
         assert np.linalg.eigvalsh(rho).min() > -1e-12
         assert r[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name, x", [
+        *((n, None) for n in pauli.STATE_NAMES if n != "Mix"),
+        *(("Mix", x) for x in (0.34, 2 / 3, 1))])
+    def test_cached_state_equals_a_fresh_build(self, name, x):
+        # each call returns fresh writable copies of what the cache built
+        # once; writing into them changes no later call
+        pauli._state.cache_clear()
+        rho, r = pauli.initial_state(name, x)
+        fresh_rho, fresh_r = pauli._state.__wrapped__(name, x)
+        assert np.array_equal(rho, fresh_rho) and np.array_equal(r, fresh_r)
+        assert rho.flags.writeable and r.flags.writeable
+        rho[0, 0], r[0, 0, 0] = 7.0, np.nan
+        again_rho, again_r = pauli.initial_state(name, x)
+        assert np.array_equal(again_rho, fresh_rho)
+        assert np.array_equal(again_r, fresh_r)
+        assert again_rho is not rho and again_r is not r
+        info = pauli._state.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_state_cache_keys_on_the_weight_type(self):
+        # a bool never reaches the cache: after x = 1, x = True still
+        # raises; 1 and 1.0 are built once each
+        pauli._state.cache_clear()
+        pauli.initial_state("Mix", 1)
+        with pytest.raises(ValueError, match="Mix weight must satisfy"):
+            pauli.initial_state("Mix", True)
+        pauli.initial_state("Mix", 1.0)
+        assert pauli._state.cache_info().misses == 2
+
     def test_pure_state_density_invariants(self, rng):
         for name in ("S", "BS", "GHZ", "W", "V"):
             rho, _ = pauli.initial_state(name)
