@@ -13,9 +13,8 @@ from .dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
                        rhs_three)
 from .errors import AccuracyError, ConfigError, SpintrioError, ValidationError
 from .measures import (concurrence_c3, flip_probability, m_b, m_k, m_l, m_sm,
-                       m_two, pair_tensors, triple_tensor)
-from .pauli import (bloch_length, build_hamiltonian, initial_state,
-                    pauli_basis_element, r_to_rho, rho_to_r)
+                       pair_tensors, triple_tensor)
+from .pauli import bloch_length, build_hamiltonian, initial_state, rho_to_r
 
 __all__ = [
     "__version__",
@@ -23,7 +22,6 @@ __all__ = [
     "integrate", "integrate_two", "propagate_direct", "rhs_three",
     "AccuracyError", "ConfigError", "SpintrioError", "ValidationError",
     "concurrence_c3", "flip_probability", "m_b", "m_k", "m_l", "m_sm",
-    "m_two", "pair_tensors", "triple_tensor",
-    "bloch_length", "build_hamiltonian", "initial_state",
-    "pauli_basis_element", "r_to_rho", "rho_to_r",
+    "pair_tensors", "triple_tensor",
+    "bloch_length", "build_hamiltonian", "initial_state", "rho_to_r",
 ]

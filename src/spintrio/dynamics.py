@@ -255,7 +255,7 @@ def check_gate(dev, taus, tol, what):
         at = f" of stack index {k[0]}" if k else ""
         raise AccuracyError(
             f"{what} is {worst:.3e} (tolerance {tol:.0e}), first at "
-            f"tau = {taus[t]:.6g}{at}", worst, *k)
+            f"tau = {taus[t]:.6g}{at}", *k)
 
 
 # Samples per block of the rotating-frame path (real) and of the oracle check
@@ -302,6 +302,12 @@ def _modes(spec, coupling):
     return w, e, o
 
 
+def precision_bound(spec, coupling, taus):
+    """2^-53 max(w) tau, the rounding of the exact path's phases t w."""
+    with np.errstate(over="ignore"):
+        return 2.0 ** -53 * _modes(spec, coupling)[0].max() * taus
+
+
 def _rotating_frame(ys, spec, coupling, taus):
     """Exact samples from the rows of ys, (k, 64), for a built-in field
     turning about z at rate nu, shape (n, k * 64): R(tau) = Z(-nu tau)
@@ -312,10 +318,7 @@ def _rotating_frame(ys, spec, coupling, taus):
     both maps; gate, amplitudes, phases and turn are per call, and the
     phases are shared by the whole stack."""
     (w, e, o), nu = _modes(spec, coupling), ROTATION[spec.kind]
-    # each phase t w is rounded by up to 2^-53 |t w|; tau = 0 is r0 itself
-    with np.errstate(over="ignore"):
-        bound = 2.0 ** -53 * w.max() * taus[1:]
-    check_gate(bound, taus[1:], GATE_TOL,
+    check_gate(precision_bound(spec, coupling, taus[1:]), taus[1:], GATE_TOL,
                "precision bound 2^-53 max(w) tau of the exact path")
     # a and b, each (28, k, 1), by two products per tensor: one
     # (k, 64) @ (64, 28) product rounds otherwise

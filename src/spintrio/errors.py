@@ -21,6 +21,6 @@ class AccuracyError(SpintrioError):
     """An integration failed its a-posteriori accuracy check (exit code 3);
     index is the failing tensor's index when a stack was checked."""
 
-    def __init__(self, message, magnitude=None, index=None):
+    def __init__(self, message, index=None):
         super().__init__(message)
-        self.magnitude, self.index = magnitude, index
+        self.index = index

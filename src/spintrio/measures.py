@@ -65,14 +65,6 @@ def m_sm(r):
     return _value(_sq(triple_tensor(r), 3))
 
 
-def m_two(r2):
-    """Two-qubit analogue on (..., 4, 4): squared norm of
-    m_ij = R_ij - R_i0 R_0j."""
-    m = r2[..., 1:, 1:] - np.einsum('...i,...j->...ij', r2[..., 1:, 0],
-                                    r2[..., 0, 1:])
-    return _value(_sq(m, 2))
-
-
 def concurrence_c3(r, purity_check=True):
     """Pure-state three-qubit concurrence.
 

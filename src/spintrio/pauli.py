@@ -1,7 +1,7 @@
 """Pauli-product kernel for the three-qubit system.
 
 Everything here is basis bookkeeping: the 64 operators sigma_a x sigma_b x
-sigma_c, conversion between an 8x8 density matrix and its real expansion
+sigma_c, conversion of an 8x8 density matrix to its real expansion
 coefficients r[a, b, c] (the "R tensor"), canonical initial states, and the
 generalized Bloch length.
 
@@ -35,17 +35,9 @@ for _i, _j, _k in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
     EPS[_i, _k, _j] = -1.0
 
 
-def pauli_basis_element(alpha, beta, gamma):
-    """sigma_alpha x sigma_beta x sigma_gamma as an 8x8 complex matrix."""
-    for idx in (alpha, beta, gamma):
-        if idx not in (0, 1, 2, 3):
-            raise ValueError(f"Pauli index must be in 0..3, got {idx}")
-    return np.kron(np.kron(SIGMA[alpha], SIGMA[beta]), SIGMA[gamma])
-
-
-# All 64 basis operators, shape (4, 4, 4, 8, 8).
-BASIS = np.array([[[pauli_basis_element(a, b, c)
-                    for c in range(4)] for b in range(4)] for a in range(4)])
+# All 64 basis operators, shape (4, 4, 4, 8, 8), bit for bit np.kron's.
+BASIS = np.multiply.outer(np.multiply.outer(SIGMA, SIGMA), SIGMA).transpose(
+    0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(4, 4, 4, 8, 8)
 # Flat and transposed: a flattened rho times column w is Tr(rho sigma_w).
 _BASIS_T = BASIS.swapaxes(-1, -2).reshape(64, 64).T
 
@@ -143,13 +135,6 @@ def check_normalized(r, qubits=3):
             raise ValidationError(f"{at}Bloch length {b:.6g} exceeds "
                                   f"{pure:.6g}, that of a pure state")
     return r
-
-
-def r_to_rho(r, validate=True):
-    """Inverse of rho_to_r, for one R tensor or a stack:
-    rho = (1/8) sum r[a,b,c] sigma_a x sigma_b x sigma_c."""
-    r = check_normalized(r) if validate else np.asarray(r, dtype=float)
-    return np.einsum('...abc,abcij->...ij', r, BASIS) / 8.0
 
 
 def bloch_length(r, qubits=3):

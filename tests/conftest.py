@@ -22,6 +22,17 @@ def brute_r(rho):
     return r
 
 
+def brute_rho(r):
+    """Density matrix (1/8) sum r[a,b,c] sigma_a x sigma_b x sigma_c of one
+    R tensor, by explicit loops (the inverse of brute_r)."""
+    rho = np.zeros((8, 8), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                rho += r[a, b, c] * kron3(SIGMA[a], SIGMA[b], SIGMA[c])
+    return rho / 8.0
+
+
 def random_density(rng, rank=8, dim=8):
     """Random full/low-rank density matrix from a Wishart factor."""
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))

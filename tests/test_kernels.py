@@ -8,12 +8,12 @@ from spintrio import pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec, IntegratorConfig,
                                integrate, rhs_three, stack)
 
-from conftest import kron3, random_density
+from conftest import brute_rho, kron3, random_density
 
 
 def commutator_rhs3(r, he, hp, hn, coupling):
     """Reference derivative via rho -> -i[H, rho] -> R."""
-    rho = pauli.r_to_rho(r, validate=False)
+    rho = brute_rho(r)
     H = pauli.build_hamiltonian(he, hp, hn, coupling)
     return pauli.rho_to_r(-1j * (H @ rho - rho @ H), validate=False)
 

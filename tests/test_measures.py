@@ -69,24 +69,6 @@ class TestMeasureValues:
         assert measures.m_sm(r_of("S")) == pytest.approx(0.0, abs=1e-13)
         assert measures.m_sm(r_of("GHZ")) == pytest.approx(4.0, abs=1e-12)
 
-    def test_m_two(self, rng):
-        # Bell state (|00> + |11>)/sqrt(2)
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        basis2 = np.array([[np.kron(pauli.SIGMA[a], pauli.SIGMA[b])
-                            for b in range(4)] for a in range(4)])
-        r2 = np.einsum('abij,ji->ab', basis2,
-                       np.outer(bell, bell.conj())).real
-        assert measures.m_two(r2) == pytest.approx(3.0, abs=1e-12)
-        # product and maximally mixed states give zero
-        kets = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2)]
-        psi = np.kron(*[k / np.linalg.norm(k) for k in kets])
-        r2p = np.einsum('abij,ji->ab', basis2, np.outer(psi, psi.conj())).real
-        assert measures.m_two(r2p) == pytest.approx(0.0, abs=1e-12)
-        r2m = np.zeros((4, 4))
-        r2m[0, 0] = 1.0
-        assert measures.m_two(r2m) == 0.0
-
     def test_c3(self):
         assert measures.concurrence_c3(r_of("S")) == pytest.approx(0.0, abs=1e-12)
         assert measures.concurrence_c3(r_of("GHZ")) == pytest.approx(
@@ -241,10 +223,6 @@ class TestChannels:
             singles = [fn(r) for r in states]
             assert all(type(v) is float for v in singles), name
             assert np.abs(stacked - singles).max() <= 1e-15, name
-        pairs = states[..., 0]  # the (e, p) reduced tensors
-        singles = [measures.m_two(r2) for r2 in pairs]
-        assert all(type(v) is float for v in singles)
-        assert np.abs(measures.m_two(pairs) - singles).max() <= 1e-15
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError):
