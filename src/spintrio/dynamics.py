@@ -265,7 +265,7 @@ _RK4_BLOCK = 8   # RK4 steps per block of node matrices: 17 x 64^2, 544 KB
 
 
 def _rk4(y, spec, gens, cfg, n_steps):
-    """Samples of classical fixed-step RK4 from y, (64,) or (64, k), for
+    """Samples of classical fixed-step RK4 from y, (64, k), for
     dR/dtau = A(tau) R, shape (n,) + y.shape: dt/2 A at the half-step
     nodes of _RK4_BLOCK steps is one product."""
     dt, every = cfg.dt, cfg.sample_every
@@ -353,9 +353,9 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
         states = _rotating_frame(ys, spec, coupling, taus)
-    else:   # one tensor steps as a (64,) vector, a stack as (64, k)
-        y = ys[0] if r0.ndim == 3 else ys.T
-        states = _rk4(y, spec, stack(spec.multipliers, coupling), cfg, n_steps)
+    else:   # one tensor steps as a stack of one, (64, 1)
+        states = _rk4(ys.T, spec, stack(spec.multipliers, coupling), cfg,
+                      n_steps)
         states = np.ascontiguousarray(np.moveaxis(states, -1, 1))
     states = states.reshape((len(taus),) + r0.shape)
     b = pauli.bloch_length(states)

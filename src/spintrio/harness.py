@@ -1,9 +1,8 @@
 """Scenario runner: named presets reproducing the reference figures, a flat
 key-value config format, CSV time-series output and a run manifest.
 
-Default parameters are the reference operating point: omega0 = 1, omega1 =
-0.3 (units of the drive frequency), exchange constants (-0.2, -0.1, -0.3),
-per-qubit field multipliers (1, 2, 4), tau_max = 30.
+Default parameters are the reference operating point, the defaults of
+FieldSpec, CouplingConstants and IntegratorConfig.
 """
 
 import contextlib
@@ -28,16 +27,16 @@ class ScenarioConfig:
     name: str = "run"
     initial: str = "GHZ"
     x: float = None
-    field_kind: str = "R"
-    omega0: float = 1.0
-    omega1: float = 0.3
-    j_ep: float = -0.2
-    j_en: float = -0.1
-    j_pn: float = -0.3
-    multipliers: tuple[float, ...] = (1.0, 2.0, 4.0)
-    tau_max: float = 30.0
-    dt: float = 1e-3
-    sample_every: int = 10
+    field_kind: str = FieldSpec.kind
+    omega0: float = FieldSpec.omega0
+    omega1: float = FieldSpec.omega1
+    j_ep: float = CouplingConstants.j_ep
+    j_en: float = CouplingConstants.j_en
+    j_pn: float = CouplingConstants.j_pn
+    multipliers: tuple[float, ...] = FieldSpec.multipliers
+    tau_max: float = IntegratorConfig.tau_max
+    dt: float = IntegratorConfig.dt
+    sample_every: int = IntegratorConfig.sample_every
     measures: tuple[str, ...] = ("m_sm",)
     oracle_check: bool = False
 

@@ -163,12 +163,13 @@ def _outputs(out_dir, tag):
 
 def test_criterion_9_deterministic_csv(tmp_path):
     # a is run fresh, then over its own files at a longer tau_max and again
-    # at 5: each time it must match b, a fresh run at 5
+    # at 5, then at a shorter one and again at 5: each time it must match b,
+    # a fresh run at 5
     a, b = tmp_path / "a", tmp_path / "b"
     for preset, tag in [("fixed-point", "fixed_point.csv"),
                         ("figure3", "figure3.csv")]:
         run_preset(preset, b, tau_max=5.0)
-        for tau_maxes in [(5.0,), (8.0, 5.0)]:
+        for tau_maxes in [(5.0,), (8.0, 5.0), (3.0, 5.0)]:
             for tau_max in tau_maxes:
                 run_preset(preset, a, tau_max=tau_max)
             if _outputs(a, tag) != _outputs(b, tag):

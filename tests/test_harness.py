@@ -10,7 +10,8 @@ from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 from spintrio import cli, dynamics, harness, measures, pauli
-from spintrio.dynamics import FieldSpec, integrate
+from spintrio.dynamics import (CouplingConstants, FieldSpec,
+                               IntegratorConfig, integrate)
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
                               preset_configs, run_preset, run_scenario,
@@ -32,6 +33,10 @@ class TestParseConfig:
         assert cfg.multipliers == (1.0, 2.0, 4.0)
         assert cfg.tau_max == 30.0
         assert cfg.dt == 1e-3
+
+    def test_defaults_are_those_of_the_config_classes(self):
+        _, _, *built = harness._build(ScenarioConfig())
+        assert built == [FieldSpec(), CouplingConstants(), IntegratorConfig()]
 
     def test_overrides_and_comments(self):
         cfg = parse_config("""
@@ -327,21 +332,43 @@ class TestRunPreset:
                                                                 tmp_path):
         # the second run reads every field's modes, every field's oracle
         # eigenbasis and every start state from the caches; each manifest
-        # records the bound the exact path's gate checks at tau 30.  The
-        # oracle only checks: the run without it writes the same CSVs.
+        # records the bound the exact path's gate checks at tau 30, once,
+        # and both gates' ratios, below 1 (NaN fails).  The oracle only
+        # checks: the run without it writes the same CSVs.
         caches = (dynamics._modes, dynamics._eigenbasis, pauli._state)
         for cache in caches:
             cache.cache_clear()
         cold = run_preset("figure1", tmp_path / "cold", oracle=True)
         warm = run_preset("figure1", tmp_path / "warm", oracle=True)
         off = run_preset("figure1", tmp_path / "off")
+        assert len(list((tmp_path / "cold").glob("*.csv"))) == len(off) == 10
         for a, b, c in zip(cold, warm, off):
             assert a.read_bytes() == b.read_bytes() == c.read_bytes()
             assert _manifest(a) == _manifest(b)
-            mtext = Path(f"{a}.manifest.txt").read_text()
-            entries = dict(line.split(" = ", 1) for line in mtext.splitlines())
+            lines = a.read_text().splitlines()
+            assert lines[0] == "tau,m_sm,b" and len(lines) == 3002
+            mlines = Path(f"{a}.manifest.txt").read_text().splitlines()
+            entries = dict(line.split(" = ", 1) for line in mlines)
+            assert len(entries) == len(mlines)   # no key twice
+            assert entries["method"] == "exact"
+            assert "oracle_max_dev" in entries
             assert float(entries["err_bound"]) <= 3.41e-14
+            assert float(entries["drift_gate_ratio"]) < 1
+            assert float(entries["oracle_gate_ratio"]) < 1
         assert [c.cache_info().misses for c in caches] == [2, 2, 5]
+
+    def test_oracle_on_writes_the_csvs_of_oracle_off(self, tmp_path):
+        # the oracle only checks: all 21 CSVs of the five presets are the
+        # same bytes with it off and on
+        for name in harness.PRESETS:
+            for oracle in ("off", "on"):
+                run_preset(name, tmp_path / oracle, oracle=oracle == "on",
+                           tau_max=2.0)
+        off = sorted((tmp_path / "off").glob("*.csv"))
+        assert len(off) == len(list((tmp_path / "on").glob("*.csv"))) == 21
+        for path in off:
+            assert (path.read_bytes()
+                    == (tmp_path / "on" / path.name).read_bytes())
 
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
