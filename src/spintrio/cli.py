@@ -49,13 +49,12 @@ def _cmd_run(args):
     if args.preset:
         paths = run_preset(args.preset, args.out, oracle=oracle,
                            dt=args.dt, tau_max=args.tau_max)
-        for p in paths:
-            print(p)
-        return 0
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = with_overrides(parse_config(text), oracle, args.dt, args.tau_max)
-    run_scenario(cfg, out_dir=args.out)
-    print(csv_path(args.out, cfg.name))
+    else:
+        text = Path(args.config).read_text(encoding="utf-8")
+        cfg = with_overrides(parse_config(text), oracle, args.dt, args.tau_max)
+        run_scenario(cfg, out_dir=args.out)
+        paths = [csv_path(args.out, cfg.name)]
+    print(*paths, sep="\n")
     return 0
 
 

@@ -205,61 +205,64 @@ def _write(out_dir, runs):
 
 
 def _run_group(cfgs, out_dir=None):
-    """Run scenarios that differ only in name, initial, x and measures as
-    one stacked integrate; evaluate each channel once over the runs that
-    ask for it.  Returns one (TimeSeries, manifest) per config.  Files are
-    written only once every run has passed its gates; each run's
-    wall_time_s is an even share of the shared work plus its own.
-    """
-    start = time.perf_counter()
-    built = [_build(c) for c in cfgs]
-    _, _, spec, coupling, integ = built[0]
-    try:
-        ts = integrate(np.array([r0 for _, r0, *_ in built]), spec, coupling,
-                       integ)
-    except AccuracyError as exc:
-        if exc.index is None:
-            raise
-        raise AccuracyError(
-            f"scenario {cfgs[exc.index].name!r}: {exc}") from None
-    b = ts.channels["b"]
-    chans = [{"b": b[:, i]} for i in range(len(cfgs))]
-    for name in dict.fromkeys(ch for c in cfgs for ch in c.measures):
-        idx = [i for i, c in enumerate(cfgs) if name in c.measures]
-        states = ts.states if len(idx) == len(cfgs) else ts.states[:, idx]
-        values = measures.evaluate_channels(states, [name])[name]
-        for j, i in enumerate(idx):
-            chans[i][name] = values[:, j]
-    err_bound = f"{precision_bound(spec, coupling, ts.taus[-1]):.3e}"
-    shared = (time.perf_counter() - start) / len(cfgs)
-
-    runs = []
-    for i, (cfg, (rho0, *_)) in enumerate(zip(cfgs, built)):
+    """Run scenarios, one stacked integrate per group of configs that build
+    into one FieldSpec, CouplingConstants and IntegratorConfig; evaluate
+    each channel once over a group's runs that ask for it.  Returns one
+    (TimeSeries, manifest) per config, in input order.  All configs are
+    built first; a group's files are written once its runs pass their
+    gates.  wall_time_s: the run's build, oracle check and manifest plus
+    an even share of its group's propagation and channels."""
+    built, groups = [], {}   # built: rho0, r0, spec, coupling, integ, time
+    for i, cfg in enumerate(cfgs):
         start = time.perf_counter()
-        member = TimeSeries(ts.taus, ts.states[:, i], chans[i])
-        man = {}
-        for f in fields(cfg):
-            v = getattr(cfg, f.name)
-            man[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else v
-        # exact: rotating-frame propagation, dt sets only the sample spacing
-        drift = np.abs(b[:, i] - b[0, i]).max()
-        man.update(code_version=__version__, method="exact",
-                   b_drift=f"{drift:.3e}",
-                   drift_gate_ratio=f"{drift / GATE_TOL:.3e}",
-                   tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
-        if cfg.oracle_check:
-            dev = oracle_deviation(member, rho0, spec, coupling)
-            worst = np.max(dev)
-            man.update(oracle_max_dev=f"{worst:.3e}",
-                       oracle_gate_ratio=f"{worst / GATE_TOL:.3e}")
-            check_gate(dev, ts.taus, GATE_TOL,
-                       f"oracle deviation of scenario {cfg.name!r}")
-        man["wall_time_s"] = f"{shared + time.perf_counter() - start:.3f}"
-        runs.append((member, man))
-    if out_dir is not None:   # the measures, then b unless it is one of them
-        _write(out_dir, [(c.name, ts.taus,
-                          {n: m.channels[n] for n in (*c.measures, "b")}, man)
-                         for c, (m, man) in zip(cfgs, runs)])
+        built.append(_build(cfg) + (time.perf_counter() - start,))
+        groups.setdefault(built[i][2:5], []).append(i)
+    runs = [None] * len(cfgs)
+    for (spec, coupling, integ), idx in groups.items():
+        start = time.perf_counter()
+        group = [cfgs[i] for i in idx]
+        try:
+            ts = integrate(np.array([built[i][1] for i in idx]), spec,
+                           coupling, integ)
+        except AccuracyError as exc:
+            if exc.index is None:
+                raise
+            raise AccuracyError(
+                f"scenario {group[exc.index].name!r}: {exc}") from None
+        b = ts.channels["b"]
+        chans = [{"b": b[:, k]} for k in range(len(group))]
+        for name in dict.fromkeys(ch for c in group for ch in c.measures):
+            ks = [k for k, c in enumerate(group) if name in c.measures]
+            states = ts.states if len(ks) == len(group) else ts.states[:, ks]
+            values = measures.evaluate_channels(states, [name])[name]
+            for j, k in enumerate(ks):
+                chans[k][name] = values[:, j]
+        err_bound = f"{precision_bound(spec, coupling, ts.taus[-1]):.3e}"
+        shared = (time.perf_counter() - start) / len(group)
+        for k, (i, cfg) in enumerate(zip(idx, group)):
+            start = time.perf_counter() - built[i][-1]
+            member = TimeSeries(ts.taus, ts.states[:, k], chans[k])
+            man = {f: ",".join(map(str, v)) if isinstance(v, tuple) else v
+                   for f, v in vars(cfg).items()}
+            # exact: rotating-frame propagation, dt sets only the spacing
+            drift = np.abs(b[:, k] - b[0, k]).max()
+            man.update(code_version=__version__, method="exact",
+                       b_drift=f"{drift:.3e}",
+                       drift_gate_ratio=f"{drift / GATE_TOL:.3e}",
+                       tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
+            if cfg.oracle_check:
+                dev = oracle_deviation(member, built[i][0], spec, coupling)
+                worst = np.max(dev)
+                man.update(oracle_max_dev=f"{worst:.3e}",
+                           oracle_gate_ratio=f"{worst / GATE_TOL:.3e}")
+                check_gate(dev, ts.taus, GATE_TOL,
+                           f"oracle deviation of scenario {cfg.name!r}")
+            man["wall_time_s"] = f"{shared + time.perf_counter() - start:.3f}"
+            runs[i] = (member, man)
+        if out_dir is not None:   # the measures, then b unless one of them
+            _write(out_dir, [
+                (c.name, ts.taus, {n: ch[n] for n in (*c.measures, "b")},
+                 runs[i][1]) for i, c, ch in zip(idx, group, chans)])
     return runs
 
 
@@ -335,9 +338,8 @@ def with_overrides(cfg, oracle=None, dt=None, tau_max=None):
 
 
 def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
-    """Run every scenario of a preset; returns the list of CSV paths written.
-    Configs that differ only in name, initial, x and measures run as one
-    group (_run_group).
+    """Run every scenario of a preset in one _run_group call; returns the
+    list of CSV paths written.
 
     figure3 merges its two runs into one CSV with channels p_flip_coupled
     and p_flip_free; its manifest is the coupled run's, plus each entry of
@@ -345,16 +347,10 @@ def run_preset(name, out_dir, oracle=None, dt=None, tau_max=None):
     """
     cfgs = [with_overrides(c, oracle, dt, tau_max)
             for c in preset_configs(name)]
+    runs = _run_group(cfgs, None if name == "figure3" else out_dir)
     if name != "figure3":
-        groups = {}
-        for c in cfgs:
-            key = replace(c, name="", initial="", x=None, measures=())
-            groups.setdefault(key, []).append(c)
-        for group in groups.values():
-            _run_group(group, out_dir)
         return [csv_path(out_dir, c.name) for c in cfgs]
-
-    (ts_c, man_c), (ts_f, man_f) = (run_scenario(c) for c in cfgs)
+    (ts_c, man_c), (ts_f, man_f) = runs
     wall = sum(float(m.pop("wall_time_s")) for m in (man_c, man_f))
     man = dict(man_c, name=name)
     man.update({f"{k}_free": v for k, v in man_f.items() if v != man_c[k]})

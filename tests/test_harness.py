@@ -405,6 +405,52 @@ class TestRunPreset:
                         == (tmp_path / "alone" / path.name).read_bytes())
             assert ("oracle_max_dev" in man) == oracle
 
+    def test_run_group_splits_interleaved_fields(self, tmp_path,
+                                                 monkeypatch):
+        # S/R, S/NR, W/R: the two R runs share one integrate, S/NR runs
+        # with its own field, and each run comes back in input order with
+        # the files its config writes when run alone
+        by_name = {c.name: c for c in preset_configs("figure1")}
+        cfgs = [with_overrides(by_name[f"figure1_{n}"], tau_max=2.0)
+                for n in ("S_R", "S_NR", "W_R")]
+        calls = _count_integrate(monkeypatch)
+        runs = harness._run_group(cfgs, tmp_path / "group")
+        assert calls == [2, 1]
+        for cfg, (ts, man) in zip(cfgs, runs):
+            alone_ts, alone_man = run_scenario(cfg, tmp_path / "alone")
+            assert man["name"] == cfg.name
+            assert np.array_equal(ts.states, alone_ts.states)
+            group, alone = (harness.csv_path(tmp_path / d, cfg.name)
+                            for d in ("group", "alone"))
+            assert group.read_bytes() == alone.read_bytes()
+            assert _manifest(group) == _manifest(alone)
+
+    @pytest.mark.parametrize("name, stacks", [
+        ("figure1", [5, 5]), ("figure2", [4, 4]), ("figure3", [1, 1]),
+        ("rabi-check", [1]), ("fixed-point", [1])])
+    def test_one_integrate_per_field_coupling_and_grid(self, tmp_path,
+                                                       monkeypatch, name,
+                                                       stacks):
+        calls = _count_integrate(monkeypatch)
+        run_preset(name, tmp_path, tau_max=2.0)
+        assert calls == stacks
+
+    def test_runs_differing_in_oracle_check_share_one_integrate(
+            self, tmp_path, monkeypatch):
+        cfgs = [ScenarioConfig(name=n, initial="W", tau_max=2.0,
+                               oracle_check=n == "checked")
+                for n in ("plain", "checked")]
+        monkeypatch.setitem(harness.PRESETS, "pair", ("one field", cfgs))
+        calls = _count_integrate(monkeypatch)
+        paths = run_preset("pair", tmp_path / "preset")
+        assert calls == [2]
+        for cfg, path in zip(cfgs, paths):
+            _, man = run_scenario(cfg, tmp_path / "alone")
+            assert ("oracle_max_dev" in man) == cfg.oracle_check
+            alone = tmp_path / "alone" / path.name
+            assert path.read_bytes() == alone.read_bytes()
+            assert _manifest(path) == _manifest(alone)
+
     def test_drift_in_one_member_fails_its_group(self, tmp_path, capsys,
                                                  monkeypatch):
         # figure1's R group is S, BS, GHZ, W, Mix: W's Bloch length drifts;
@@ -428,6 +474,17 @@ class TestRunPreset:
         data = np.genfromtxt(path, delimiter=",", names=True)
         expected = np.sin(0.15 * data["tau"]) ** 2
         assert np.abs(data["p_flip_e"] - expected).max() < 1e-6
+
+
+def _count_integrate(monkeypatch):
+    """The stack size of each integrate call the harness makes from now."""
+    calls = []
+
+    def counting(r0, *args):
+        calls.append(len(r0))
+        return integrate(r0, *args)
+    monkeypatch.setattr(harness, "integrate", counting)
+    return calls
 
 
 def _manifest(csv):
