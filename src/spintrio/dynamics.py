@@ -24,7 +24,7 @@ in the frame that turns with them A is constant and the samples are exact:
 dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
 per field and coupling) are cached per process, and so is the oracle's
 eigenbasis; each call gates its own taus and forms its own amplitudes,
-phases and turn.  Custom fields take fixed RK4 steps of dt.
+phases and z turn (none with lab=False).  Custom fields: fixed RK4 steps of dt.
 """
 
 import functools
@@ -310,14 +310,13 @@ def precision_bound(spec, coupling, taus):
 
 def _rotating_frame(ys, spec, coupling, taus):
     """Exact samples from the rows of ys, (k, 64), for a built-in field
-    turning about z at rate nu, shape (n, k * 64): R(tau) = Z(-nu tau)
-    exp(K tau) R(0), Z(phi) = exp(phi G_z), with K = A(0) + nu G_z real
-    (h_y(0) = 0) and constant.  K flips the parity of y slots:
-    K = [[0, B], [-B^T, 0]] on (even, odd).  With B = U S V^T, U^T y_even
-    and V^T y_odd turn into each other at the rates S.  _modes caches S and
-    both maps; gate, amplitudes, phases and turn are per call, and the
-    phases are shared by the whole stack."""
-    (w, e, o), nu = _modes(spec, coupling), ROTATION[spec.kind]
+    turning about z at rate nu, shape (n, k * 64), in the field's frame:
+    exp(K tau) R(0), with K = A(0) + nu G_z real (h_y(0) = 0) and constant.
+    K flips the parity of y slots: K = [[0, B], [-B^T, 0]] on (even, odd).
+    With B = U S V^T, U^T y_even and V^T y_odd turn into each other at the
+    rates S.  _modes caches S and both maps; gate, amplitudes and phases
+    are per call, and the phases are shared by the whole stack."""
+    w, e, o = _modes(spec, coupling)
     check_gate(precision_bound(spec, coupling, taus[1:]), taus[1:], GATE_TOL,
                "precision bound 2^-53 max(w) tau of the exact path")
     # a and b, each (28, k, 1), by two products per tensor: one
@@ -330,29 +329,43 @@ def _rotating_frame(ys, spec, coupling, taus):
     states = np.empty((len(taus), ys.size))
     for s in range(0, len(taus), SAMPLE_BLOCK):
         t = taus[s:s + SAMPLE_BLOCK, None]
-        block = states[s:s + SAMPLE_BLOCK]
-        block[:] = np.cos(t * w) @ mc + np.sin(t * w) @ ms + rest.ravel()
-        c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
-        for q in range(3):   # the slot of qubit q is axis 2 of v
-            v = block.reshape(len(t), -1, 4, 4 ** (2 - q))
-            px, py = v[:, :, 1], v[:, :, 2]
-            v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
+        states[s:s + SAMPLE_BLOCK] = (np.cos(t * w) @ mc + np.sin(t * w) @ ms
+                                      + rest.ravel())
     states[0] = ys.ravel()   # tau = 0 is r0 itself, as on the RK4 path
     return states
 
 
-def integrate(r0, spec, coupling, cfg=IntegratorConfig()):
+def _to_lab(states, spec, taus):
+    """states, (n, ..., 4, 4, 4) in the frame turning with spec's field,
+    turned in place into the lab frame by Z(-nu tau), SAMPLE_BLOCK samples
+    at a time; with nu = 0 (ConstantZ, Custom) the frames are one."""
+    nu = ROTATION.get(spec.kind, 0)
+    for s in range(0, len(taus) if nu else 0, SAMPLE_BLOCK):
+        t = taus[s:s + SAMPLE_BLOCK, None]
+        c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
+        block = states[s:s + SAMPLE_BLOCK]
+        for q in range(3):   # the slot of qubit q is axis 2 of v
+            v = block.reshape(len(t), -1, 4, 4 ** (2 - q))
+            px, py = v[:, :, 1], v[:, :, 2]
+            v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
+    return states
+
+
+def integrate(r0, spec, coupling, cfg=IntegratorConfig(), *, lab=True):
     """Integrate the 63-equation system from the 4x4x4 tensor r0, or from
     each tensor of a (k, 4, 4, 4) stack: exact in the rotating frame for a
     built-in field, RK4 for a Custom one.  Returns a TimeSeries with a 'b'
     channel: states (n, 4, 4, 4) and b (n,) for one tensor, (n, k, 4, 4, 4)
-    and (n, k) for a stack.  Raises AccuracyError if a Bloch length drifts
-    beyond GATE_TOL, naming the first tau and, in a stack, the index."""
+    and (n, k) for a stack, in the lab frame (lab=False: see _to_lab).
+    Raises AccuracyError if a Bloch length drifts beyond GATE_TOL, naming
+    the first tau and, in a stack, the index."""
     r0 = pauli.check_normalized(r0)
     ys = r0.reshape(-1, 64)
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
         states = _rotating_frame(ys, spec, coupling, taus)
+        if lab:   # tau = 0 is r0 itself
+            _to_lab(states[1:], spec, taus[1:])
     else:   # one tensor steps as a stack of one, (64, 1)
         states = _rk4(ys.T, spec, stack(spec.multipliers, coupling), cfg,
                       n_steps)

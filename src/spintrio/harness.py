@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, measures, pauli
 from .dynamics import (GATE_TOL, SAMPLE_BLOCK, CouplingConstants, FieldSpec,
-                       IntegratorConfig, TimeSeries, check_gate, integrate,
-                       oracle_deviation, precision_bound)
+                       IntegratorConfig, TimeSeries, _to_lab, check_gate,
+                       integrate, oracle_deviation, precision_bound)
 from .errors import AccuracyError, ConfigError
 
 
@@ -208,7 +208,8 @@ def _run_group(cfgs, out_dir=None):
     """Run scenarios, one stacked integrate per group of configs that build
     into one FieldSpec, CouplingConstants and IntegratorConfig; evaluate
     each channel once over a group's runs that ask for it.  Returns one
-    (TimeSeries, manifest) per config, in input order.  All configs are
+    (TimeSeries, manifest) per config, in input order, its states in the
+    field's frame (only the oracle check turns a copy).  All configs are
     built first; a group's files are written once its runs pass their
     gates.  wall_time_s: the run's build, oracle check and manifest plus
     an even share of its group's propagation and channels."""
@@ -223,7 +224,7 @@ def _run_group(cfgs, out_dir=None):
         group = [cfgs[i] for i in idx]
         try:
             ts = integrate(np.array([built[i][1] for i in idx]), spec,
-                           coupling, integ)
+                           coupling, integ, lab=False)
         except AccuracyError as exc:
             if exc.index is None:
                 raise
@@ -251,7 +252,9 @@ def _run_group(cfgs, out_dir=None):
                        drift_gate_ratio=f"{drift / GATE_TOL:.3e}",
                        tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
             if cfg.oracle_check:
-                dev = oracle_deviation(member, built[i][0], spec, coupling)
+                lab = _to_lab(np.array(member.states), spec, ts.taus)
+                dev = oracle_deviation(TimeSeries(ts.taus, lab), built[i][0],
+                                       spec, coupling)
                 worst = np.max(dev)
                 man.update(oracle_max_dev=f"{worst:.3e}",
                            oracle_gate_ratio=f"{worst / GATE_TOL:.3e}")
@@ -270,8 +273,11 @@ def run_scenario(cfg, out_dir=None):
     """Integrate one scenario, evaluate its channels, write CSV + manifest.
 
     Returns (TimeSeries, manifest): the manifest is a flat dict, written
-    as `key = value` lines.  The CSV goes to csv_path(out_dir, cfg.name)
-    when out_dir is given; no file is written otherwise.
+    as `key = value` lines.  Its states are in the frame turning about z
+    with the field at rate nu (R +1, NR -1, else 0); dynamics._to_lab turns
+    them into the lab frame that integrate returns.  The CSV goes to
+    csv_path(out_dir, cfg.name) when out_dir is given; no file is written
+    otherwise.
     """
     return _run_group([cfg], out_dir)[0]
 

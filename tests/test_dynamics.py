@@ -696,6 +696,28 @@ class TestRotatingFrame:
                                                     coupling), taus)
         assert np.abs(states.reshape(len(taus), -1) - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", [*FIELD_COPIES, "Custom"])
+    def test_field_frame_is_the_lab_frame_turned_back(self, kind):
+        # lab=False skips only the final turn: _to_lab gives integrate's
+        # lab-frame states (== as tau = 0, r0 itself, is not turned there),
+        # over more than one block; with nu = 0 the frames are one and the
+        # turn multiplies nothing, so even the sign of a zero stays
+        spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])
+        cfg = IntegratorConfig(tau_max=11.0, dt=0.002, sample_every=5)
+        r0 = np.stack([pauli.initial_state(n)[1] for n in ("S", "W", "GHZ")])
+        field = integrate(r0, spec, SECT5, cfg, lab=False)
+        lab = integrate(r0, spec, SECT5, cfg)
+        assert len(lab.taus) > SAMPLE_BLOCK
+        turned = dynamics._to_lab(field.states.copy(), spec, field.taus)
+        assert np.array_equal(turned, lab.states)
+        if dynamics.ROTATION.get(kind, 0):
+            assert np.abs(field.states - lab.states).max() > 0.5
+        else:
+            assert field.states.tobytes() == lab.states.tobytes()
+            zeros = np.full((2, 4, 4, 4), -0.0)
+            assert np.signbit(dynamics._to_lab(zeros, spec, field.taus[:2])
+                              ).all()
+
     # omega0, and the first tau at which 2^-53 max(w) tau passes GATE_TOL;
     # integrate_two's largest multiplier is 2, so 1e6 stays inside to tau 30
     @pytest.mark.parametrize("entry, omega0, first", [

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from spintrio import cli, dynamics, harness, measures, pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec,
-                               IntegratorConfig, integrate)
+                               IntegratorConfig, TimeSeries, integrate)
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
                               preset_configs, run_preset, run_scenario,
@@ -178,9 +178,12 @@ class TestRunScenario:
         assert man["drift_gate_ratio"] == f"{drift / 1e-8:.3e}"
         assert ("oracle_gate_ratio" in man) == oracle
         if oracle:
+            # the run's states are in the field's frame; the oracle's in
+            # the lab's
+            lab = dynamics._to_lab(np.array(ts.states), FieldSpec(), ts.taus)
             dev = np.max(dynamics.oracle_deviation(
-                ts, pauli.initial_state("W")[0], FieldSpec(),
-                dynamics.CouplingConstants()))
+                TimeSeries(ts.taus, lab), pauli.initial_state("W")[0],
+                FieldSpec(), dynamics.CouplingConstants()))
             assert man["oracle_max_dev"] == f"{dev:.3e}"
             assert man["oracle_gate_ratio"] == f"{dev / 1e-8:.3e}"
         assert not any("margin" in key for key in man)
@@ -370,6 +373,21 @@ class TestRunPreset:
             assert (path.read_bytes()
                     == (tmp_path / "on" / path.name).read_bytes())
 
+    @pytest.mark.parametrize("name", sorted(harness.PRESETS))
+    def test_channels_match_lab_frame_integrate(self, name):
+        # the harness reads its states in the field's frame: each column it
+        # writes is, cell by cell, the channel of integrate's lab-frame
+        # states
+        cfgs = [with_overrides(c, tau_max=2.0) for c in preset_configs(name)]
+        for cfg, (ts, _) in zip(cfgs, harness._run_group(cfgs)):
+            _, r0, spec, coupling, integ = harness._build(cfg)
+            lab = integrate(r0, spec, coupling, integ)
+            want = measures.evaluate_channels(lab.states, cfg.measures)
+            want["b"] = lab.channels["b"]
+            assert ts.channels.keys() == want.keys()
+            for ch, values in want.items():
+                assert np.abs(ts.channels[ch] - values).max() <= 1e-12, ch
+
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
         mtext = (tmp_path / "figure3.csv.manifest.txt").read_text()
@@ -480,9 +498,9 @@ def _count_integrate(monkeypatch):
     """The stack size of each integrate call the harness makes from now."""
     calls = []
 
-    def counting(r0, *args):
+    def counting(r0, *args, **kwargs):
         calls.append(len(r0))
-        return integrate(r0, *args)
+        return integrate(r0, *args, **kwargs)
     monkeypatch.setattr(harness, "integrate", counting)
     return calls
 
@@ -592,11 +610,16 @@ class TestCli:
                                          monkeypatch):
         # RK4 at dt = 0.002 on the Custom copy of R keeps the Bloch length
         # (drift 8.3e-10) but leaves the exact answer by 4.7e-8, first at
-        # tau = 7.27; the run itself would propagate R exactly
-        def rk4_copy(r0, spec, coupling, cfg):
+        # tau = 7.27; the run itself would propagate R exactly.  The copy
+        # returns its lab-frame states turned into the frame asked for:
+        # Z(+nu tau) is _to_lab at -tau
+        def rk4_copy(r0, spec, coupling, cfg, *, lab=True):
             assert spec == FieldSpec(kind="R")
             copy = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
-            return integrate(r0, copy, coupling, cfg)
+            ts = integrate(r0, copy, coupling, cfg)
+            if not lab:
+                dynamics._to_lab(ts.states, spec, -ts.taus)
+            return ts
 
         monkeypatch.setattr(harness, "integrate", rk4_copy)
         cfgfile = tmp_path / "trip.cfg"

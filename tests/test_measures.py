@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spintrio import measures, pauli
+from spintrio.dynamics import CouplingConstants, FieldSpec, integrate
 from spintrio.errors import ValidationError
 
 from conftest import (random_density, random_product_pure, random_pure,
@@ -198,6 +199,30 @@ class TestInvariance:
             assert measures.m_sm(r) >= 0.0
             assert measures.m_k(r) >= 0.0
             assert measures.concurrence_c3(r, purity_check=False) >= 0.0
+
+    @pytest.mark.parametrize("kind", ["R", "NR"])
+    def test_common_z_turn_keeps_every_channel(self, rng, kind):
+        # the harness reads every channel in the frame that turns with the
+        # field: each must be blind to a common z turn of the three slots,
+        # here a random angle per sample of a whole trajectory
+        starts = [r_of(n) for n in ("S", "BS", "GHZ", "W", "V", "Up")]
+        r0 = np.stack(starts + [r_of("Mix", 2 / 3)])
+        states = integrate(r0, FieldSpec(kind), CouplingConstants()).states
+        phi = rng.uniform(0.0, 2 * np.pi, states.shape[:2])
+        turn = np.zeros(phi.shape + (4, 4))
+        turn[..., 0, 0] = turn[..., 3, 3] = 1.0
+        turn[..., 1, 1] = turn[..., 2, 2] = np.cos(phi)
+        turn[..., 2, 1], turn[..., 1, 2] = np.sin(phi), -np.sin(phi)
+        turned = np.einsum('...ad,...be,...cf,...def->...abc',
+                           turn, turn, turn, states, optimize=True)
+        for name, fn in measures.CHANNELS.items():
+            k = slice(-1 if name == "c3" else None)   # c3 needs pure states
+            a, b = fn(states[:, k]), fn(turned[:, k])
+            if name == "c3":
+                # sqrt(max(x, 0)) turns a rounding change of x near 0 (S
+                # starts as a product state) into its root: compare c3^2
+                a, b = a * a, b * b
+            assert np.abs(a - b).max() <= 1e-12, name
 
     def test_m_b_m_l_coincide_on_ghz_and_w(self):
         for name in ("GHZ", "W"):
