@@ -49,6 +49,7 @@ FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 # Rate nu at which a built-in field turns about z: H(tau) = V(tau) H(0)
 # V(tau)^dag with V(tau) = exp(i nu tau S_z), S_z the total spin component.
 ROTATION = {"R": 1, "NR": -1, "ConstantZ": 0}
+_SZ = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
 
 # Real structure constants of the Pauli algebra: with sigma_0 = 1,
 # sigma_a sigma_b = sum_c (DELTA[a, b, c] + i EPS[a, b, c]) sigma_c.
@@ -264,19 +265,19 @@ SAMPLE_BLOCK = 1024
 _RK4_BLOCK = 8   # RK4 steps per block of node matrices: 17 x 64^2, 544 KB
 
 
-def _rk4(y, spec, gens, cfg, n_steps):
-    """Samples of classical fixed-step RK4 from y, (64, k), for
-    dR/dtau = A(tau) R, shape (n,) + y.shape: dt/2 A at the half-step
-    nodes of _RK4_BLOCK steps is one product."""
-    dt, every = cfg.dt, cfg.sample_every
+def _rk4(ys, spec, coupling, cfg, n_steps):
+    """Samples of classical fixed-step RK4 from the rows of ys, (k, 64), for
+    dR/dtau = A(tau) R, shape (n, k, 64): dt/2 A at the half-step nodes of
+    _RK4_BLOCK steps is one product with the stack, on the columns ys.T."""
+    dt, every, y = cfg.dt, cfg.sample_every, ys.T
+    gens = stack(spec.multipliers, coupling).reshape(4, -1)
     # the weights dt/2 [1, h] on the half-step grid, shape (2 n_steps + 1, 4)
     h = spec.base(np.arange(2 * n_steps + 1) * (0.5 * dt))
     coeffs = 0.5 * dt * np.concatenate([np.ones((len(h), 1)), h], axis=-1)
-    states = np.empty((n_steps // every + 1,) + y.shape)
-    states[0] = y
+    states = np.empty((n_steps // every + 1,) + ys.shape)
+    states[0] = ys
     for s in range(0, n_steps, _RK4_BLOCK):
-        a = coeffs[2 * s:2 * (s + _RK4_BLOCK) + 1] @ gens.reshape(4, -1)
-        a = a.reshape((-1,) + gens.shape[1:])
+        a = (coeffs[2 * s:2 * (s + _RK4_BLOCK) + 1] @ gens).reshape(-1, 64, 64)
         for step, (a0, ah, a1) in enumerate(zip(a[:-1:2], a[1::2], a[2::2]),
                                             s + 1):
             u1 = a0.dot(y)   # u_i = dt/2 k_i
@@ -285,7 +286,7 @@ def _rk4(y, spec, gens, cfg, n_steps):
             u4 = a1.dot(y + 2.0 * u3)
             y = y + (u1 + 2.0 * (u2 + u3) + u4) / 3.0
             if step % every == 0:
-                states[step // every] = y
+                states[step // every] = y.T
     return states
 
 
@@ -356,7 +357,8 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig(), *, lab=True):
     each tensor of a (k, 4, 4, 4) stack: exact in the rotating frame for a
     built-in field, RK4 for a Custom one.  Returns a TimeSeries with a 'b'
     channel: states (n, 4, 4, 4) and b (n,) for one tensor, (n, k, 4, 4, 4)
-    and (n, k) for a stack, in the lab frame (lab=False: see _to_lab).
+    and (n, k) for a stack, in the lab frame.  lab=False keeps the field's
+    frame, turning about z at rate nu (R +1, NR -1; else 0: the lab frame).
     Raises AccuracyError if a Bloch length drifts beyond GATE_TOL, naming
     the first tau and, in a stack, the index."""
     r0 = pauli.check_normalized(r0)
@@ -366,10 +368,8 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig(), *, lab=True):
         states = _rotating_frame(ys, spec, coupling, taus)
         if lab:   # tau = 0 is r0 itself
             _to_lab(states[1:], spec, taus[1:])
-    else:   # one tensor steps as a stack of one, (64, 1)
-        states = _rk4(ys.T, spec, stack(spec.multipliers, coupling), cfg,
-                      n_steps)
-        states = np.ascontiguousarray(np.moveaxis(states, -1, 1))
+    else:   # one tensor steps as a stack of one, (1, 64)
+        states = _rk4(ys, spec, coupling, cfg, n_steps)
     states = states.reshape((len(taus),) + r0.shape)
     b = pauli.bloch_length(states)
     check_gate(np.abs(b - b[0]), taus, GATE_TOL,
@@ -429,15 +429,13 @@ def _hamiltonians(mults, coupling):
 
 @functools.lru_cache(maxsize=8)
 def _eigenbasis(spec, coupling):
-    """The read-only (w, v, sz) of a built-in field: the eigenvalues and
-    eigenvectors of H(0) + nu S_z and the diagonal of S_z, once per (spec,
-    coupling)."""
+    """The read-only (w, v) of a built-in field: the eigenvalues and
+    eigenvectors of H(0) + nu S_z, once per (spec, coupling)."""
     hs = _hamiltonians(spec.multipliers, coupling)
-    sz = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
     h0 = np.tensordot(np.insert(spec.base(0.0), 0, 1.0), hs, 1)
-    w, v = np.linalg.eigh(h0 + ROTATION[spec.kind] * np.diag(sz))
-    w.flags.writeable = v.flags.writeable = sz.flags.writeable = False
-    return w, v, sz
+    w, v = np.linalg.eigh(h0 + ROTATION[spec.kind] * np.diag(_SZ))
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
@@ -464,8 +462,9 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus)):
         raise ValidationError("taus must be 1-D, non-empty and finite, "
                               f"got {taus}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be finite and positive, got {dt}")
+    if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+            and 0 < dt < math.inf):   # IntegratorConfig's rule
+        raise ValidationError(f"dt must be finite and positive, got {dt!r}")
     if spec.kind == "Custom":
         hs = _hamiltonians(spec.multipliers, coupling)
         # n[k] steps of length h[k] from taus[k] to taus[k + 1]; a count
@@ -473,10 +472,9 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
         with np.errstate(over="ignore"):
             gap = np.diff(taus)
             n = np.maximum(1, np.ceil(np.abs(gap) / dt - 1e-12))
-            too_many = n.sum() > MAX_STEPS
-        if too_many:
-            raise ValidationError(f"taus / dt asks for more than {MAX_STEPS} "
-                                  "steps of dt")
+            if n.sum() > MAX_STEPS:
+                raise ValidationError("taus / dt asks for more than "
+                                      f"{MAX_STEPS} steps of dt")
         h, ends = gap / n, np.cumsum(n).astype(int)
         out, w = np.empty((len(taus), 8, 8), dtype=complex), np.eye(8)
         for s in range(0, int(n.sum()), SAMPLE_BLOCK):
@@ -500,8 +498,8 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                 if last:
                     out[k1] = w
     else:   # W = V(tau) exp(-i (tau - taus[0]) (H(0) + nu S_z)) V(taus[0])^dag
-        (w, v, sz), nu = _eigenbasis(spec, coupling), ROTATION[spec.kind]
-        f = np.exp(1j * nu * taus[:, None] * sz)   # the diagonal of V(tau)
+        (w, v), nu = _eigenbasis(spec, coupling), ROTATION[spec.kind]
+        f = np.exp(1j * nu * taus[:, None] * _SZ)   # the diagonal of V(tau)
         out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
         out = out.reshape(-1, 8) @ (v.conj().T * f[0].conj())   # one BLAS call
         out = f[:, :, None] * out.reshape(len(taus), 8, 8)

@@ -206,13 +206,13 @@ def _write(out_dir, runs):
 
 def _run_group(cfgs, out_dir=None):
     """Run scenarios, one stacked integrate per group of configs that build
-    into one FieldSpec, CouplingConstants and IntegratorConfig; evaluate
-    each channel once over a group's runs that ask for it.  Returns one
-    (TimeSeries, manifest) per config, in input order, its states in the
-    field's frame (only the oracle check turns a copy).  All configs are
-    built first; a group's files are written once its runs pass their
-    gates.  wall_time_s: the run's build, oracle check and manifest plus
-    an even share of its group's propagation and channels."""
+    into one FieldSpec, CouplingConstants and IntegratorConfig, which gives
+    b; each other channel is evaluated once over the runs asking for it.
+    Returns one (TimeSeries, manifest) per config, in input order, its
+    states in the field's frame (only the oracle check turns a copy).  All
+    configs are built first; a group's files are written once its runs
+    pass their gates.  wall_time_s: the run's build, oracle check and
+    manifest plus an even share of its group's propagation and channels."""
     built, groups = [], {}   # built: rho0, r0, spec, coupling, integ, time
     for i, cfg in enumerate(cfgs):
         start = time.perf_counter()
@@ -232,7 +232,8 @@ def _run_group(cfgs, out_dir=None):
                 f"scenario {group[exc.index].name!r}: {exc}") from None
         b = ts.channels["b"]
         chans = [{"b": b[:, k]} for k in range(len(group))]
-        for name in dict.fromkeys(ch for c in group for ch in c.measures):
+        for name in dict.fromkeys(ch for c in group for ch in c.measures
+                                  if ch not in ts.channels):
             ks = [k for k, c in enumerate(group) if name in c.measures]
             states = ts.states if len(ks) == len(group) else ts.states[:, ks]
             values = measures.evaluate_channels(states, [name])[name]
@@ -273,9 +274,9 @@ def run_scenario(cfg, out_dir=None):
     """Integrate one scenario, evaluate its channels, write CSV + manifest.
 
     Returns (TimeSeries, manifest): the manifest is a flat dict, written
-    as `key = value` lines.  Its states are in the frame turning about z
-    with the field at rate nu (R +1, NR -1, else 0); dynamics._to_lab turns
-    them into the lab frame that integrate returns.  The CSV goes to
+    as `key = value` lines.  Its states are in the field's frame, which
+    turns about z at rate nu (R +1, NR -1); for ConstantZ and Custom fields
+    it is the lab frame, the frame integrate returns.  The CSV goes to
     csv_path(out_dir, cfg.name) when out_dir is given; no file is written
     otherwise.
     """

@@ -589,8 +589,9 @@ class TestCachedStacks:
     @OPERATING_POINTS
     def test_eigenbasis_read_only_and_equal_to_a_fresh_build(self, kind,
                                                              mults, coupling):
-        # the oracle's (w, v, sz): v diag(w) v^dag is H(0) + nu S_z as the
-        # Hamiltonian builder makes it
+        # the oracle's (w, v): v diag(w) v^dag is H(0) + nu S_z as the
+        # Hamiltonian builder and the spin operators make it; S_z's
+        # diagonal is one read-only constant, not part of the cache
         spec = FieldSpec(kind=kind, multipliers=mults)
         cached = dynamics._eigenbasis(spec, coupling)
         for m, fresh in zip(cached, dynamics._eigenbasis.__wrapped__(
@@ -600,9 +601,12 @@ class TestCachedStacks:
                 m[0] = 1.0
             assert np.array_equal(m, fresh)
         assert dynamics._eigenbasis(spec, coupling) is cached
-        w, v, sz = cached
+        with pytest.raises(ValueError):
+            dynamics._SZ[0] = 1.0
+        w, v = cached
+        sz = pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]
         ref = (pauli.build_hamiltonian(*qubit_fields(spec, 0.0), coupling)
-               + dynamics.ROTATION[kind] * np.diag(sz))
+               + dynamics.ROTATION[kind] * sz)
         assert np.abs((v * w) @ v.conj().T - ref).max() < 1e-13
 
     def test_custom_field_fills_no_eigenbasis(self):
@@ -1070,9 +1074,10 @@ class TestPropagateDirect:
     @pytest.mark.parametrize("taus, dt", [
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),
         ([0.0, 0.5], -1e-3), ([0.0, 0.5], 0.0), ([0.0, 0.5], np.inf),
-        ([0.0, 0.5], np.nan), ([[0.0, 0.1]], 1e-3),
+        ([0.0, 0.5], np.nan), ([[0.0, 0.1]], 1e-3), ([0.0, 0.5], True),
+        ([0.0, 0.5], "1e-3"),
     ], ids=["empty", "tau_nan", "tau_inf", "dt_negative", "dt_zero",
-            "dt_inf", "dt_nan", "not_1d"])
+            "dt_inf", "dt_nan", "not_1d", "dt_bool", "dt_str"])
     def test_rejects_bad_grid_or_step(self, taus, dt):
         rho0, _ = pauli.initial_state("W")
         custom = FieldSpec(kind="Custom",

@@ -388,6 +388,38 @@ class TestRunPreset:
             for ch, values in want.items():
                 assert np.abs(ts.channels[ch] - values).max() <= 1e-12, ch
 
+    def test_b_comes_from_integrate_alone(self, monkeypatch, tmp_path):
+        # b is a channel integrate returns: no run evaluates it again,
+        # whether every run of a group lists it, some do or none does
+        def refuse(states):
+            raise AssertionError("b evaluated a second time")
+        monkeypatch.setitem(measures.CHANNELS, "b", refuse)
+        lists = {("R", "GHZ"): ("b",), ("R", "W"): ("m_b", "b"),
+                 ("NR", "GHZ"): ("b", "m_sm"), ("NR", "W"): ("m_sm",),
+                 ("ConstantZ", "Up"): ("rho11", "b")}
+        cfgs = [ScenarioConfig(name=f"{st}_{fk}", initial=st, field_kind=fk,
+                               measures=chans, **FAST)
+                for (fk, st), chans in lists.items()]
+        for cfg, (ts, _) in zip(cfgs, harness._run_group(cfgs, tmp_path)):
+            _, r0, spec, coupling, integ = harness._build(cfg)
+            b = integrate(r0, spec, coupling, integ, lab=False).channels["b"]
+            assert ts.channels["b"].tobytes() == b.tobytes()
+            header = (tmp_path / f"{cfg.name}.csv").read_text().split("\n")[0]
+            assert header == ",".join(dict.fromkeys(("tau", *cfg.measures,
+                                                     "b")))
+
+    def test_oracle_check_only_reads_the_run(self, monkeypatch):
+        # figure1 runs as two stacked groups of five, and a run's states are
+        # a view into its group's stack: the oracle turns a copy into the
+        # lab frame, so the states returned are the same bytes either way
+        calls = _count_integrate(monkeypatch)
+        runs = [harness._run_group([with_overrides(c, oracle, tau_max=2.0)
+                                    for c in preset_configs("figure1")])
+                for oracle in (False, True)]
+        assert calls == [5, 5, 5, 5]
+        for (off, _), (on, _) in zip(*runs):
+            assert on.states.tobytes() == off.states.tobytes()
+
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
         mtext = (tmp_path / "figure3.csv.manifest.txt").read_text()
