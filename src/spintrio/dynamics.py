@@ -458,10 +458,14 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     if rho0.shape != (8, 8):
         raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho0.shape}")
     pauli.validate_density(rho0)
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0 or not np.all(np.isfinite(taus)):
-        raise ValidationError("taus must be 1-D, non-empty and finite, "
-                              f"got {taus}")
+    given, taus = taus, np.asarray(taus)
+    # IntegratorConfig's rule; only an exact 0 or 1 can hide a bool in a list
+    if (taus.dtype.kind not in "iuf" or taus.ndim != 1 or taus.size == 0
+            or not np.isfinite(taus).all() or not isinstance(given, np.ndarray)
+            and _has_bool(np.array(given, object)[(taus == 0) | (taus == 1)])):
+        raise ValidationError("taus must be 1-D, non-empty, finite and real, "
+                              f"got {given!r}")
+    taus = taus.astype(float)
     if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
             and 0 < dt < math.inf):   # IntegratorConfig's rule
         raise ValidationError(f"dt must be finite and positive, got {dt!r}")
@@ -511,17 +515,19 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
 
 def oracle_deviation(ts, rho0, spec, coupling):
-    """Per sample, the max abs difference between the integrated R tensors
-    and the direct propagation converted to R form.  The grid is walked in
-    blocks of SAMPLE_BLOCK samples, each propagated from the last state of
-    the block before, so memory stays bounded on any grid."""
-    dev, rho = np.empty(len(ts.taus)), rho0
+    """Per sample, the max abs difference between the R tensors ts.states in
+    the field's frame (as integrate(..., lab=False) returns them) and the
+    direct propagation turned into it, f rho f^dag with f = exp(-i nu tau
+    S_z); check lab-frame states with propagate_direct and rho_to_r.  Blocks
+    of SAMPLE_BLOCK samples, each from the last state before, bound memory."""
+    dev, rho, nu = np.empty(len(ts.taus)), rho0, ROTATION.get(spec.kind, 0)
     for s in range(0, len(dev), SAMPLE_BLOCK):
         first = max(s - 1, 0)   # the sample whose state rho is
         rhos = propagate_direct(rho, spec, coupling,
                                 ts.taus[first:s + SAMPLE_BLOCK])[s - first:]
-        d = np.abs(ts.states[s:s + SAMPLE_BLOCK]
-                   - pauli.rho_to_r(rhos, validate=False))
+        f = np.exp(-1j * nu * ts.taus[s:s + SAMPLE_BLOCK, None] * _SZ)
+        d = np.abs(ts.states[s:s + SAMPLE_BLOCK] - pauli.rho_to_r(
+            f[:, :, None] * rhos * f[:, None].conj(), validate=False))
         dev[s:s + SAMPLE_BLOCK] = d.reshape(len(d), -1).max(axis=1)
         rho = rhos[-1]
     return dev

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, measures, pauli
 from .dynamics import (GATE_TOL, SAMPLE_BLOCK, CouplingConstants, FieldSpec,
-                       IntegratorConfig, TimeSeries, _to_lab, check_gate,
-                       integrate, oracle_deviation, precision_bound)
+                       IntegratorConfig, TimeSeries, check_gate, integrate,
+                       oracle_deviation, precision_bound)
 from .errors import AccuracyError, ConfigError
 
 
@@ -209,10 +209,10 @@ def _run_group(cfgs, out_dir=None):
     into one FieldSpec, CouplingConstants and IntegratorConfig, which gives
     b; each other channel is evaluated once over the runs asking for it.
     Returns one (TimeSeries, manifest) per config, in input order, its
-    states in the field's frame (only the oracle check turns a copy).  All
-    configs are built first; a group's files are written once its runs
-    pass their gates.  wall_time_s: the run's build, oracle check and
-    manifest plus an even share of its group's propagation and channels."""
+    states in the field's frame.  All configs are built first; a group's
+    files are written once its runs pass their gates.  wall_time_s: the
+    run's build, oracle check and manifest plus an even share of its
+    group's propagation and channels."""
     built, groups = [], {}   # built: rho0, r0, spec, coupling, integ, time
     for i, cfg in enumerate(cfgs):
         start = time.perf_counter()
@@ -253,9 +253,7 @@ def _run_group(cfgs, out_dir=None):
                        drift_gate_ratio=f"{drift / GATE_TOL:.3e}",
                        tau_end=f"{ts.taus[-1]:.11e}", err_bound=err_bound)
             if cfg.oracle_check:
-                lab = _to_lab(np.array(member.states), spec, ts.taus)
-                dev = oracle_deviation(TimeSeries(ts.taus, lab), built[i][0],
-                                       spec, coupling)
+                dev = oracle_deviation(member, built[i][0], spec, coupling)
                 worst = np.max(dev)
                 man.update(oracle_max_dev=f"{worst:.3e}",
                            oracle_gate_ratio=f"{worst / GATE_TOL:.3e}")

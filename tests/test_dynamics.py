@@ -344,16 +344,23 @@ class TestIntegrate:
     @ALL_STATES
     @BUILTIN_KINDS
     def test_exact_path_matches_oracle(self, name, x, kind):
+        # the oracle check reads the field's frame; the lab-frame output is
+        # checked against the density matrices themselves
         rho0, r0 = pauli.initial_state(name, x)
         spec = FieldSpec(kind=kind)
-        ts = integrate(r0, spec, SECT5)
+        ts = integrate(r0, spec, SECT5, lab=False)
         assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
+        lab = integrate(r0, spec, SECT5)
+        direct = pauli.rho_to_r(propagate_direct(rho0, spec, SECT5, lab.taus),
+                                validate=False)
+        assert np.abs(lab.states - direct).max() < 1e-12
 
     def test_grid_longer_than_one_block(self):
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="NR")
         ts = integrate(r0, spec, SECT5,
-                       IntegratorConfig(tau_max=41.0, dt=0.01, sample_every=1))
+                       IntegratorConfig(tau_max=41.0, dt=0.01, sample_every=1),
+                       lab=False)
         assert len(ts.taus) > SAMPLE_BLOCK
         assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
 
@@ -857,7 +864,8 @@ class TestPropagateDirect:
     def test_cross_formulation_equivalence(self):
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="R")
-        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=5.0))
+        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=5.0),
+                       lab=False)
         dev = oracle_deviation(ts, rho0, spec, SECT5)
         assert dev.shape == ts.taus.shape
         assert dev.max() < 1e-8
@@ -865,16 +873,19 @@ class TestPropagateDirect:
     @pytest.mark.parametrize("custom", [None, FIELD_COPIES["R"]],
                              ids=["R", "R_copy"])
     def test_blocked_deviation_matches_whole_grid(self, custom):
-        # each block of the oracle restarts from the block before's last state
+        # each block of the oracle restarts from the block before's last state;
+        # the whole grid is compared in the lab frame, the blocks in the
+        # field's (one frame for the Custom copy)
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind="Custom" if custom else "R", custom=custom)
-        ts = integrate(r0, spec, SECT5,
-                       IntegratorConfig(tau_max=2.5, sample_every=1))
+        cfg = IntegratorConfig(tau_max=2.5, sample_every=1)
+        ts = integrate(r0, spec, SECT5, cfg)
         assert len(ts.taus) > 2 * SAMPLE_BLOCK
         whole = pauli.rho_to_r(propagate_direct(rho0, spec, SECT5, ts.taus),
                                validate=False)
         dev = np.abs(ts.states - whole).reshape(len(whole), -1).max(axis=1)
-        blocked = oracle_deviation(ts, rho0, spec, SECT5)
+        blocked = oracle_deviation(integrate(r0, spec, SECT5, cfg, lab=False),
+                                   rho0, spec, SECT5)
         assert np.abs(blocked - dev).max() < 1e-13
 
     def test_oracle_memory_is_bounded(self):
@@ -887,7 +898,8 @@ class TestPropagateDirect:
             rho0, r0 = pauli.initial_state("GHZ")
             spec, coupling = FieldSpec(kind="R"), CouplingConstants()
             ts = integrate(r0, spec, coupling,
-                           IntegratorConfig(tau_max=100.0, sample_every=1))
+                           IntegratorConfig(tau_max=100.0, sample_every=1),
+                           lab=False)
             assert oracle_deviation(ts, rho0, spec, coupling).max() < 1e-8
         """)
         assert peak_rss_kib(code) < 200 * 1024
@@ -946,6 +958,13 @@ class TestPropagateDirect:
     def test_rejects_bad_density(self):
         with pytest.raises(ValidationError):
             propagate_direct(np.eye(8), FieldSpec(kind="R"), SECT5, [0.0])
+
+    def test_rejects_negative_eigenvalue(self):
+        # Hermitian with unit trace, one eigenvalue below -PSD_TOL
+        rho0 = np.diag([0.5 + 1e-6, 0.5] + [0.0] * 5 + [-1e-6])
+        with pytest.raises(ValidationError,
+                           match="negative eigenvalue -1.000e-06"):
+            propagate_direct(rho0, FieldSpec(kind="R"), SECT5, [0.0])
 
     @pytest.mark.parametrize("kind", ["R", "Custom"])
     @pytest.mark.parametrize("count", [1, 2, 5])
@@ -1075,9 +1094,12 @@ class TestPropagateDirect:
         ([], 1e-3), ([0.0, np.nan], 1e-3), ([0.0, np.inf], 1e-3),
         ([0.0, 0.5], -1e-3), ([0.0, 0.5], 0.0), ([0.0, 0.5], np.inf),
         ([0.0, 0.5], np.nan), ([[0.0, 0.1]], 1e-3), ([0.0, 0.5], True),
-        ([0.0, 0.5], "1e-3"),
+        ([0.0, 0.5], "1e-3"), ([0.0, True], 1e-3), ([0.0, "0.5"], 1e-3),
+        (np.array([0.0, 1.0], dtype=object), 1e-3), ([0.0, 1j], 1e-3),
+        (["a"], 1e-3),
     ], ids=["empty", "tau_nan", "tau_inf", "dt_negative", "dt_zero",
-            "dt_inf", "dt_nan", "not_1d", "dt_bool", "dt_str"])
+            "dt_inf", "dt_nan", "not_1d", "dt_bool", "dt_str", "tau_bool",
+            "tau_str", "tau_object", "tau_complex", "tau_not_a_number"])
     def test_rejects_bad_grid_or_step(self, taus, dt):
         rho0, _ = pauli.initial_state("W")
         custom = FieldSpec(kind="Custom",

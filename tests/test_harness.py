@@ -1,5 +1,8 @@
 """Config parsing, presets, CSV/manifest output, and the CLI."""
 
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from spintrio import cli, dynamics, harness, measures, pauli
 from spintrio.dynamics import (CouplingConstants, FieldSpec,
-                               IntegratorConfig, TimeSeries, integrate)
+                               IntegratorConfig, integrate)
 from spintrio.errors import ConfigError
 from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
                               preset_configs, run_preset, run_scenario,
@@ -177,13 +180,10 @@ class TestRunScenario:
         drift = np.abs(b - b[0]).max()
         assert man["drift_gate_ratio"] == f"{drift / 1e-8:.3e}"
         assert ("oracle_gate_ratio" in man) == oracle
-        if oracle:
-            # the run's states are in the field's frame; the oracle's in
-            # the lab's
-            lab = dynamics._to_lab(np.array(ts.states), FieldSpec(), ts.taus)
+        if oracle:   # the run's states, in the field's frame
             dev = np.max(dynamics.oracle_deviation(
-                TimeSeries(ts.taus, lab), pauli.initial_state("W")[0],
-                FieldSpec(), dynamics.CouplingConstants()))
+                ts, pauli.initial_state("W")[0], FieldSpec(),
+                dynamics.CouplingConstants()))
             assert man["oracle_max_dev"] == f"{dev:.3e}"
             assert man["oracle_gate_ratio"] == f"{dev / 1e-8:.3e}"
         assert not any("margin" in key for key in man)
@@ -410,8 +410,9 @@ class TestRunPreset:
 
     def test_oracle_check_only_reads_the_run(self, monkeypatch):
         # figure1 runs as two stacked groups of five, and a run's states are
-        # a view into its group's stack: the oracle turns a copy into the
-        # lab frame, so the states returned are the same bytes either way
+        # a view into its group's stack: the oracle turns its own density
+        # matrices into the run's frame, so the states returned are the
+        # same bytes either way
         calls = _count_integrate(monkeypatch)
         runs = [harness._run_group([with_overrides(c, oracle, tau_max=2.0)
                                     for c in preset_configs("figure1")])
@@ -419,6 +420,24 @@ class TestRunPreset:
         assert calls == [5, 5, 5, 5]
         for (off, _), (on, _) in zip(*runs):
             assert on.states.tobytes() == off.states.tobytes()
+
+    def test_oracle_check_turns_no_state_into_the_lab(self, monkeypatch,
+                                                      tmp_path):
+        # the oracle check compares in the run's own frame: with the lab
+        # turn refused, figure1 runs with the oracle on and writes the bytes
+        # of an unrefused run
+        run_preset("figure1", tmp_path / "plain", oracle=True, tau_max=2.0)
+
+        def refuse(*args):
+            raise AssertionError("states turned into the lab frame")
+        monkeypatch.setattr(dynamics, "_to_lab", refuse)
+        run_preset("figure1", tmp_path / "refused", oracle=True, tau_max=2.0)
+        assert not hasattr(harness, "_to_lab")
+        plain = sorted((tmp_path / "plain").glob("*.csv"))
+        assert len(plain) == 10
+        for path in plain:
+            assert (path.read_bytes()
+                    == (tmp_path / "refused" / path.name).read_bytes())
 
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
@@ -549,6 +568,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "figure1" in out and "rabi-check" in out
 
+    def test_module_entry_point(self):
+        # python -m spintrio.cli runs main and exits with its code
+        src = Path(cli.__file__).parents[1]
+        out = subprocess.run([sys.executable, "-m", "spintrio.cli",
+                              "list-presets"], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 0
+        assert ([line.split()[0] for line in out.stdout.splitlines()]
+                == list(harness.PRESETS))
+
     def test_validate_ok(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("initial = W\ntau_max = 1\n")
@@ -641,10 +670,10 @@ class TestCli:
     def test_oracle_gate_names_first_tau(self, tmp_path, capsys,
                                          monkeypatch):
         # RK4 at dt = 0.002 on the Custom copy of R keeps the Bloch length
-        # (drift 8.3e-10) but leaves the exact answer by 4.7e-8, first at
-        # tau = 7.27; the run itself would propagate R exactly.  The copy
-        # returns its lab-frame states turned into the frame asked for:
-        # Z(+nu tau) is _to_lab at -tau
+        # (drift 8.3e-10) but leaves the exact answer by 4.8e-8, first at
+        # tau = 7.28 in the field's frame; the run itself would propagate R
+        # exactly.  The copy returns its lab-frame states turned into the
+        # frame asked for: Z(+nu tau) is _to_lab at -tau
         def rk4_copy(r0, spec, coupling, cfg, *, lab=True):
             assert spec == FieldSpec(kind="R")
             copy = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
@@ -660,7 +689,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfgfile), "--out",
                          str(tmp_path), "--oracle", "on"]) == 3
         err = capsys.readouterr().err
-        assert "oracle deviation" in err and "first at tau = 7.27" in err
+        assert "oracle deviation" in err and "first at tau = 7.28" in err
         assert not (tmp_path / "trip.csv").exists()
 
     def test_unknown_preset_exit_code(self, tmp_path):

@@ -151,6 +151,18 @@ class TestConversion:
         with pytest.raises(ValidationError):
             pauli.rho_to_r(np.stack([random_density(rng), bad]))
 
+    def test_rejects_matrix_that_is_not_8x8(self):
+        with pytest.raises(ValidationError, match="must be 8x8"):
+            pauli.rho_to_r(np.eye(4) / 4)
+
+    def test_rejects_imaginary_trace_component(self):
+        # i 1e-11 times the identity passes the Hermiticity and trace checks
+        # (deviations 2e-11 and 8e-11) but not the check of the traces
+        rho, _ = pauli.initial_state("GHZ")
+        with pytest.raises(ValidationError,
+                           match="imaginary trace component 8.00e-11"):
+            pauli.rho_to_r(rho + 1e-11j * np.eye(8))
+
     def test_round_trip_ghz(self):
         rho, r = pauli.initial_state("GHZ")
         assert np.abs(brute_rho(r) - rho).max() < 1e-13
