@@ -65,12 +65,10 @@ EXCHANGE = (np.einsum('aic,bid->abcd', DELTA, pauli.EPS)
 _ODD_Y = (np.indices((4, 4, 4)) == 2).sum(axis=0).ravel() % 2 == 1
 
 
-def _real(v, what):
-    """ValueError unless v is a real number (not a bool, a complex number, a
-    str or None) that is finite as a float."""
-    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max):
-        raise ValueError(f"{what} must be finite and real, got {v!r}")
+def _real(v):
+    """Whether v is a real number, not a bool, and finite as a float."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -82,24 +80,28 @@ class CouplingConstants:
 
     def __post_init__(self):
         for v in (self.j_ep, self.j_en, self.j_pn):
-            _real(v, "exchange constants")
+            if not _real(v):
+                raise ValueError("exchange constants must be finite and "
+                                 f"real, got {v!r}")
 
 
-def _finite_reals(v, shape, scale):
-    """v as floats if real, of this shape and with finite scale * sum |v|."""
+def _finite_reals(v, shape, scale=1.0):
+    """v as floats if it holds reals, no bool, of this shape (None: non-empty
+    1-D), scale * sum |v| finite per row (None: per element); else None."""
     try:
-        v = np.asarray(v)
+        a = np.asarray(v)
     except (TypeError, ValueError):   # e.g. values of different lengths
         return None
     with np.errstate(over="ignore"):
-        ok = (v.dtype.kind in "iuf" and v.shape == shape
-              and np.isfinite(scale * np.abs(v).sum(axis=-1)).all())
-    return v.astype(float) if ok else None
-
-
-def _has_bool(v):
-    """Whether the sequence v holds a Python or numpy bool."""
-    return any(isinstance(c, (bool, np.bool_)) for c in v)
+        ok = (a.dtype.kind in "iuf"
+              and (a.shape == shape if shape else a.ndim == 1 and a.size > 0)
+              and np.isfinite(scale * (abs(a).sum(-1) if shape else a)).all())
+    # numpy reads a bool among numbers as 1.0 or 0.0: look each one up in v
+    if ok and not isinstance(v, np.ndarray):
+        ok = not any(isinstance(functools.reduce(lambda x, i: x[i], ij, v),
+                                (bool, np.bool_))
+                     for ij in np.argwhere((a == 0) | (a == 1)).tolist())
+    return a.astype(float) if ok else None
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,14 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "Custom" and self.custom is None:
+        if self.kind == "Custom" and not callable(self.custom):
             raise ValueError("Custom field requires a callable")
         if np.ndim(self.multipliers) != 1 or len(self.multipliers) != 3:
             raise ValueError("need exactly three per-qubit multipliers")
         for v in (self.omega0, self.omega1, *self.multipliers):
-            _real(v, "omega0, omega1 and multipliers")
+            if not _real(v):
+                raise ValueError("omega0, omega1 and multipliers must be "
+                                 f"finite and real, got {v!r}")
         object.__setattr__(self, "multipliers",
                            tuple(map(float, self.multipliers)))
         # base(0) is -(w1, 0, w0) for R and NR, (0, 0, w0) for ConstantZ
@@ -149,13 +153,9 @@ class FieldSpec:
         if self.kind == "Custom":
             t, m = tau.ravel(), max(map(abs, self.multipliers))
             values = [self.custom(x) for x in t] or np.empty((0, 3))
-            h = _finite_reals(values, (len(t), 3), m)
-            # numpy reads a bool among floats as 1.0 or 0.0, so only a row
-            # holding such a value can hide one
-            suspect = [] if h is None else np.nonzero((h == 0) | (h == 1))[0]
-            if h is None or any(_has_bool(values[k]) for k in suspect):
+            if (h := _finite_reals(values, (len(t), 3), m)) is None:
                 k = next(k for k, v in enumerate(values)
-                         if _finite_reals(v, (3,), m) is None or _has_bool(v))
+                         if _finite_reals(v, (3,), m) is None)
                 raise ValidationError(
                     f"Custom field at tau = {t[k]:.6g} is {values[k]!r}, not "
                     "three reals that stay finite times the multipliers")
@@ -180,14 +180,14 @@ class IntegratorConfig:
     sample_every: int = 10
 
     def __post_init__(self):
-        for v in (self.dt, self.tau_max):
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and 0 < v < math.inf):
-                raise ValueError("dt and tau_max must be finite and positive")
+        if not all(_real(v) and v > 0 for v in (self.dt, self.tau_max)):
+            raise ValueError("dt and tau_max must be finite and positive")
         if not (isinstance(self.sample_every, (int, np.integer))
                 and self.sample_every is not True and self.sample_every >= 1):
             raise ValueError("sample_every must be an integer >= 1")
-        n_samp = round(self.tau_max / (self.dt * self.sample_every))
+        # past the float range, sample_every is inf; min caps an inf count
+        every = self.sample_every if _real(self.sample_every) else math.inf
+        n_samp = round(min(self.tau_max / (self.dt * every), 2 * MAX_STEPS))
         if n_samp < 1:
             raise ValueError("tau_max rounds to zero sample intervals of "
                              "dt * sample_every")
@@ -458,16 +458,11 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     if rho0.shape != (8, 8):
         raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho0.shape}")
     pauli.validate_density(rho0)
-    given, taus = taus, np.asarray(taus)
-    # IntegratorConfig's rule; only an exact 0 or 1 can hide a bool in a list
-    if (taus.dtype.kind not in "iuf" or taus.ndim != 1 or taus.size == 0
-            or not np.isfinite(taus).all() or not isinstance(given, np.ndarray)
-            and _has_bool(np.array(given, object)[(taus == 0) | (taus == 1)])):
+    given, taus = taus, _finite_reals(taus, None)
+    if taus is None:
         raise ValidationError("taus must be 1-D, non-empty, finite and real, "
                               f"got {given!r}")
-    taus = taus.astype(float)
-    if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-            and 0 < dt < math.inf):   # IntegratorConfig's rule
+    if not (_real(dt) and dt > 0):   # IntegratorConfig's rule
         raise ValidationError(f"dt must be finite and positive, got {dt!r}")
     if spec.kind == "Custom":
         hs = _hamiltonians(spec.multipliers, coupling)

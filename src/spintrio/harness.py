@@ -44,9 +44,8 @@ class ScenarioConfig:
 def _build(cfg):
     """(rho0, r0, FieldSpec, CouplingConstants, IntegratorConfig) of a run.
 
-    The constructors check their own arguments; any ValueError of theirs,
-    or an OverflowError (a sample_every too large for a float), becomes a
-    ConfigError.
+    The constructors check their own arguments; any ValueError of theirs
+    becomes a ConfigError.
     """
     if (cfg.name in ("", ".", "..") or "\0" in cfg.name
             or Path(cfg.name).name != cfg.name):
@@ -63,7 +62,7 @@ def _build(cfg):
         coupling = CouplingConstants(cfg.j_ep, cfg.j_en, cfg.j_pn)
         integ = IntegratorConfig(tau_max=cfg.tau_max, dt=cfg.dt,
                                  sample_every=cfg.sample_every)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.initial == "Mix" and cfg.x < 1 and "c3" in cfg.measures:
         raise ConfigError("c3 needs a pure state; Mix with x < 1 is mixed")

@@ -113,13 +113,15 @@ def rho_to_r(rho, validate=True):
 
 
 def check_normalized(r, qubits=3):
-    """r as a float array; raises ValidationError unless r is one tensor
-    with `qubits` axes of length 4, or a non-empty stack of them, and each
-    has finite entries, its identity component r[0, ..., 0] is 1 (unit
-    trace) and its Bloch length is at most that of a pure state,
-    sqrt(2^qubits - 1), within GATE_TOL.  A stack's message names the index
-    of its first failing tensor."""
-    r, one = np.asarray(r, dtype=float), (4,) * qubits
+    """r as a float array; raises ValidationError unless r holds integers or
+    floats (no complex, bool, str or object) as one tensor with `qubits`
+    axes of length 4, or a non-empty stack of them, each with finite
+    entries, identity component r[0, ..., 0] 1 (unit trace) and Bloch length
+    at most sqrt(2^qubits - 1), a pure state's, within GATE_TOL.  A stack's
+    message names the index of its first failing tensor."""
+    r, one = np.asarray(r), (4,) * qubits
+    if r.dtype.kind not in "iuf":
+        raise ValidationError(f"R tensor must be real, got dtype {r.dtype}")
     if r.shape != one and not (r.shape[1:] == one and len(r)):
         raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)} "
                               f"or a stack of them, got {r.shape}")
@@ -134,7 +136,7 @@ def check_normalized(r, qubits=3):
         if not b <= pure + GATE_TOL:
             raise ValidationError(f"{at}Bloch length {b:.6g} exceeds "
                                   f"{pure:.6g}, that of a pure state")
-    return r
+    return r.astype(float, copy=False)
 
 
 def bloch_length(r, qubits=3):

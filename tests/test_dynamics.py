@@ -116,8 +116,10 @@ class TestFieldAt:
         assert np.allclose(hn, [6.0, 0.0, 3.0])
 
     def test_custom_requires_callable(self):
-        with pytest.raises(ValueError):
-            FieldSpec(kind="Custom")
+        for custom in (None, 5, (0.0, 0.0, 1.0)):
+            with pytest.raises(ValueError,
+                               match="Custom field requires a callable"):
+                FieldSpec(kind="Custom", custom=custom)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -209,6 +211,18 @@ class TestIntegratorConfig:
         n_steps, taus = cfg.grid()
         assert n_steps == 1000 and len(taus) == 201
 
+    # no OverflowError: a grid past the float range, or an int past it
+    @pytest.mark.parametrize("kw, message", [
+        (dict(tau_max=1e308, dt=1e-10), "more than 1000000 steps of dt"),
+        (dict(tau_max=10 ** 400), "dt and tau_max must be finite"),
+        (dict(dt=10 ** 400), "dt and tau_max must be finite"),
+        (dict(sample_every=10 ** 400), "tau_max rounds to zero sample"),
+    ], ids=["grid_past_float", "tau_max_past_float", "dt_past_float",
+            "sample_every_past_float"])
+    def test_rejects_values_past_float_range(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            IntegratorConfig(**kw)
+
     def test_step_limit(self):
         # construction only: a grid at the limit would take 512 MB
         assert IntegratorConfig(tau_max=MAX_STEPS * 1e-3).sample_every == 10
@@ -288,6 +302,15 @@ class TestIntegrate:
         r0[1, 0, 0] = value
         with pytest.raises(ValidationError, match=message):
             integrate(r0, FieldSpec(kind="R"), SECT5,
+                      IntegratorConfig(tau_max=0.1))
+
+    @pytest.mark.parametrize("dtype", [complex, bool, object, str])
+    def test_rejects_start_tensor_that_is_not_real(self, dtype):
+        # the maximally mixed state, held as numbers that are no reals
+        r0 = np.zeros((4, 4, 4))
+        r0[0, 0, 0] = 1.0
+        with pytest.raises(ValidationError, match="R tensor must be real"):
+            integrate(r0.astype(dtype), FieldSpec(kind="R"), SECT5,
                       IntegratorConfig(tau_max=0.1))
 
     @BUILTIN_COPIES
@@ -816,6 +839,13 @@ class TestIntegrateTwo:
             integrate_two(r2_0, FieldSpec(kind="R"), -0.2,
                           IntegratorConfig(tau_max=0.1))
 
+    def test_rejects_complex_pair_tensor(self):
+        _, r0 = pauli.initial_state("W")
+        with pytest.raises(ValidationError,
+                           match="R tensor must be real, got dtype complex"):
+            integrate_two(r0[:, :, 0] + 1e-3j, FieldSpec(kind="R"), -0.2,
+                          IntegratorConfig(tau_max=0.1))
+
     @BUILTIN_COPIES
     def test_custom_field_matches_builtin(self, kind, h):
         # the Custom copy takes RK4, the built-in field the exact path
@@ -1096,10 +1126,11 @@ class TestPropagateDirect:
         ([0.0, 0.5], np.nan), ([[0.0, 0.1]], 1e-3), ([0.0, 0.5], True),
         ([0.0, 0.5], "1e-3"), ([0.0, True], 1e-3), ([0.0, "0.5"], 1e-3),
         (np.array([0.0, 1.0], dtype=object), 1e-3), ([0.0, 1j], 1e-3),
-        (["a"], 1e-3),
+        (["a"], 1e-3), ([0.0, [1.0, 2.0]], 1e-3), ([0.0, 0.5], 10 ** 400),
     ], ids=["empty", "tau_nan", "tau_inf", "dt_negative", "dt_zero",
             "dt_inf", "dt_nan", "not_1d", "dt_bool", "dt_str", "tau_bool",
-            "tau_str", "tau_object", "tau_complex", "tau_not_a_number"])
+            "tau_str", "tau_object", "tau_complex", "tau_not_a_number",
+            "tau_ragged", "dt_past_float"])
     def test_rejects_bad_grid_or_step(self, taus, dt):
         rho0, _ = pauli.initial_state("W")
         custom = FieldSpec(kind="Custom",

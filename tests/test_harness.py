@@ -623,7 +623,8 @@ class TestCli:
         ("name =", "name must be a plain file name"),
         ("name = \xff", "can't decode byte 0xff"),
         ("output_path = ../../escaped.csv", "unknown key 'output_path'"),
-        ("sample_every = 1" + "0" * 400, "too large to convert to float"),
+        ("sample_every = 1" + "0" * 400,
+         "tau_max rounds to zero sample intervals"),
         ("tau_max = 1e300", "more than 1000000 steps of dt"),
         ("tau_max = 1e7", "more than 1000000 steps of dt"),
         ("field_kind = Custom", "Custom field requires a callable"),
