@@ -22,8 +22,9 @@ is integrate on the (e, p) tensor with n maximally mixed.
 The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
 in the frame that turns with them A is constant and the samples are exact:
 dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
-per field and coupling) are cached per process, and so is the oracle's
-eigenbasis; each call gates its own taus and forms its own amplitudes,
+per field and coupling) are cached per process, and so are the oracle's
+eigenbasis of the 8x8 Hamiltonian in that frame and the maps that read R
+tensors off it; each call gates its own taus and forms its own amplitudes,
 phases and z turn (none with lab=False).  Custom fields: fixed RK4 steps of dt.
 """
 
@@ -50,6 +51,7 @@ FIELD_KINDS = ("R", "NR", "ConstantZ", "Custom")
 # V(tau)^dag with V(tau) = exp(i nu tau S_z), S_z the total spin component.
 ROTATION = {"R": 1, "NR": -1, "ConstantZ": 0}
 _SZ = np.diag(pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).real
+_PAIRS = np.triu_indices(8, 1)   # the 28 pairs i < j of 8 eigenstates
 
 # Real structure constants of the Pauli algebra: with sigma_0 = 1,
 # sigma_a sigma_b = sum_c (DELTA[a, b, c] + i EPS[a, b, c]) sigma_c.
@@ -438,6 +440,21 @@ def _eigenbasis(spec, coupling):
     return w, v
 
 
+@functools.lru_cache(maxsize=8)
+def _eigenmaps(spec, coupling):
+    """oracle_deviation's read-only (v, g, d, s) of a built-in field: in its
+    frame H = v diag(w) v^dag is constant (_eigenbasis), so from a = v^dag
+    rho v at t = 0, R_c(t) = sum_i a_ii d[i, c] + sum_k Re[2 a_ij s[k, c]
+    e^{-i g_k t}] over the 28 pairs k = (i, j) of _PAIRS, g_k = w_i - w_j,
+    d[i, c] = (S_c)_ii and s[k, c] = (S_c)_ji, S_c = v^dag sigma_c v."""
+    w, v = _eigenbasis(spec, coupling)
+    sc, (i, j) = v.conj().T @ pauli.BASIS.reshape(64, 8, 8) @ v, _PAIRS
+    maps = v, w[i] - w[j], sc.diagonal(0, 1, 2).real.T, sc[:, j, i].T
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     """Density matrices at every tau from rho0, the state at taus[0] (out[0]
     is rho0 itself): the 8x8 propagator W(tau) from taus[0] gives
@@ -511,18 +528,32 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
 def oracle_deviation(ts, rho0, spec, coupling):
     """Per sample, the max abs difference between the R tensors ts.states in
-    the field's frame (as integrate(..., lab=False) returns them) and the
-    direct propagation turned into it, f rho f^dag with f = exp(-i nu tau
-    S_z); check lab-frame states with propagate_direct and rho_to_r.  Blocks
-    of SAMPLE_BLOCK samples, each from the last state before, bound memory."""
-    dev, rho, nu = np.empty(len(ts.taus)), rho0, ROTATION.get(spec.kind, 0)
-    for s in range(0, len(dev), SAMPLE_BLOCK):
-        first = max(s - 1, 0)   # the sample whose state rho is
-        rhos = propagate_direct(rho, spec, coupling,
-                                ts.taus[first:s + SAMPLE_BLOCK])[s - first:]
-        f = np.exp(-1j * nu * ts.taus[s:s + SAMPLE_BLOCK, None] * _SZ)
-        d = np.abs(ts.states[s:s + SAMPLE_BLOCK] - pauli.rho_to_r(
-            f[:, :, None] * rhos * f[:, None].conj(), validate=False))
-        dev[s:s + SAMPLE_BLOCK] = d.reshape(len(d), -1).max(axis=1)
-        rho = rhos[-1]
+    the field's frame (as integrate(..., lab=False) returns them) and those
+    from rho0, the lab-frame state at ts.taus[0]: read off _eigenmaps for a
+    built-in field; for a Custom one, whose frame is the lab frame, from
+    propagate_direct per block of SAMPLE_BLOCK samples, each from the last
+    state before, which bounds memory.  Check lab-frame states with
+    propagate_direct and rho_to_r."""
+    rho, dev = np.asarray(rho0, dtype=complex), np.empty(len(ts.taus))
+    if rho.shape != (8, 8):
+        raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho.shape}")
+    pauli.validate_density(rho)
+    if builtin := spec.kind in ROTATION:
+        v, g, d, s = _eigenmaps(spec, coupling)
+        t0 = ts.taus[0] if len(dev) else 0.0
+        f = np.exp(-1j * ROTATION[spec.kind] * t0 * _SZ)   # into its frame
+        a = (v.conj().T * f) @ rho @ (f.conj()[:, None] * v)
+        amp = 2 * a[_PAIRS][:, None] * s
+        c, re, im = a.diagonal().real @ d, amp.real.copy(), amp.imag.copy()
+    for k in range(0, len(dev), SAMPLE_BLOCK):
+        b = slice(k, k + SAMPLE_BLOCK)
+        if builtin:
+            ph = (ts.taus[b, None] - t0) * g
+            r = np.cos(ph) @ re + np.sin(ph) @ im + c
+        else:   # rho is the state at sample max(k - 1, 0)
+            rhos = propagate_direct(rho, spec, coupling,
+                                    ts.taus[max(k - 1, 0):b.stop])[min(k, 1):]
+            r = pauli.rho_to_r(rhos, validate=False).reshape(len(rhos), 64)
+            rho = rhos[-1]
+        dev[b] = np.abs(ts.states[b].reshape(r.shape) - r).max(axis=1)
     return dev

@@ -119,12 +119,16 @@ def check_normalized(r, qubits=3):
     entries, identity component r[0, ..., 0] 1 (unit trace) and Bloch length
     at most sqrt(2^qubits - 1), a pure state's, within GATE_TOL.  A stack's
     message names the index of its first failing tensor."""
-    r, one = np.asarray(r), (4,) * qubits
+    one = (4,) * qubits
+    expected = f"R tensor must be {'x'.join('4' * qubits)} or a stack of them"
+    try:
+        r = np.asarray(r)
+    except (TypeError, ValueError):   # e.g. rows of different lengths
+        raise ValidationError(f"{expected}, got no array shape") from None
     if r.dtype.kind not in "iuf":
         raise ValidationError(f"R tensor must be real, got dtype {r.dtype}")
     if r.shape != one and not (r.shape[1:] == one and len(r)):
-        raise ValidationError(f"R tensor must be {'x'.join('4' * qubits)} "
-                              f"or a stack of them, got {r.shape}")
+        raise ValidationError(f"{expected}, got {r.shape}")
     for i, t in enumerate(r.reshape((-1,) + one)):
         at = "" if r.shape == one else f"stack index {i}: "
         if not np.all(np.isfinite(t)):

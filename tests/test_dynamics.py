@@ -313,6 +313,12 @@ class TestIntegrate:
             integrate(r0.astype(dtype), FieldSpec(kind="R"), SECT5,
                       IntegratorConfig(tau_max=0.1))
 
+    def test_rejects_ragged_start_tensor(self):
+        # rows of different lengths make no array
+        with pytest.raises(ValidationError,
+                           match="4x4x4 or a stack of them, got no array"):
+            integrate([[1.0], [2.0, 3.0]], FieldSpec(), CouplingConstants())
+
     @BUILTIN_COPIES
     def test_custom_field_matches_builtin(self, kind, h):
         # the copy is the same field; its RK4 run meets the exact one
@@ -846,6 +852,11 @@ class TestIntegrateTwo:
             integrate_two(r0[:, :, 0] + 1e-3j, FieldSpec(kind="R"), -0.2,
                           IntegratorConfig(tau_max=0.1))
 
+    def test_rejects_ragged_pair_tensor(self):
+        with pytest.raises(ValidationError,
+                           match="4x4 or a stack of them, got no array"):
+            integrate_two([[1.0], [2.0, 3.0]], FieldSpec(), -0.2)
+
     @BUILTIN_COPIES
     def test_custom_field_matches_builtin(self, kind, h):
         # the Custom copy takes RK4, the built-in field the exact path
@@ -899,6 +910,75 @@ class TestPropagateDirect:
         dev = oracle_deviation(ts, rho0, spec, SECT5)
         assert dev.shape == ts.taus.shape
         assert dev.max() < 1e-8
+
+    @ALL_STATES
+    @BUILTIN_KINDS
+    @OPERATING_POINTS
+    def test_oracle_equals_the_turned_direct_propagation(self, name, x, kind,
+                                                          mults, coupling):
+        # reference states from the direct propagation turned into the
+        # field's frame, rho_to_r(f rho f^dag) with f = exp(-i nu tau S_z):
+        # a route the oracle reads none of
+        rho0, _ = pauli.initial_state(name, x)
+        spec = FieldSpec(kind=kind, multipliers=mults)
+        taus = IntegratorConfig().grid()[1]   # to tau = 30
+        sz = (pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]).diagonal()
+        f = np.exp(-1j * dynamics.ROTATION[kind] * taus[:, None] * sz.real)
+        rhos = propagate_direct(rho0, spec, coupling, taus)
+        ref = pauli.rho_to_r(f[:, :, None] * rhos * f[:, None].conj(),
+                             validate=False)
+        ts = dynamics.TimeSeries(taus, ref)
+        assert oracle_deviation(ts, rho0, spec, coupling).max() < 1e-13
+
+    @BUILTIN_KINDS
+    def test_oracle_from_a_later_sample(self, kind):
+        # rho0 is the lab-frame state at ts.taus[0], which need not be 0;
+        # an empty series has no deviation
+        rho0, r0 = pauli.initial_state("GHZ")
+        spec = FieldSpec(kind=kind)
+        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=3.0),
+                       lab=False)
+        later = propagate_direct(rho0, spec, SECT5, ts.taus)[50]
+        part = dynamics.TimeSeries(ts.taus[50:], ts.states[50:])
+        assert oracle_deviation(part, later, spec, SECT5).max() < 1e-12
+        empty = dynamics.TimeSeries(ts.taus[:0], ts.states[:0])
+        assert oracle_deviation(empty, rho0, spec, SECT5).shape == (0,)
+
+    def test_builtin_oracle_never_propagates(self, monkeypatch):
+        # a built-in field's reference comes from its eigenbasis alone; a
+        # Custom copy still propagates
+        def propagate(*args, **kwargs):
+            raise RuntimeError("propagate_direct called")
+
+        monkeypatch.setattr(dynamics, "propagate_direct", propagate)
+        rho0, r0 = pauli.initial_state("W")
+        cfg = IntegratorConfig(tau_max=0.5)
+        for kind, h in FIELD_COPIES.items():
+            spec = FieldSpec(kind=kind)
+            ts = integrate(r0, spec, SECT5, cfg, lab=False)
+            assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
+            copy = FieldSpec(kind="Custom", custom=h)
+            with pytest.raises(RuntimeError, match="propagate_direct called"):
+                oracle_deviation(integrate(r0, copy, SECT5, cfg), rho0, copy,
+                                 SECT5)
+
+    @pytest.mark.parametrize("where, value", [
+        ("states", np.nan), ("states", np.inf), ("taus", np.nan)],
+        ids=["nan_state", "inf_state", "nan_tau"])
+    @BUILTIN_KINDS
+    def test_oracle_gate_fails_closed(self, where, value, kind):
+        # one bad sample trips the gate there and nowhere before
+        rho0, r0 = pauli.initial_state("GHZ")
+        spec = FieldSpec(kind=kind)
+        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=2.0),
+                       lab=False)
+        taus = ts.taus.copy()
+        getattr(ts, where)[57] = value
+        dev = oracle_deviation(ts, rho0, spec, SECT5)
+        with pytest.raises(AccuracyError,
+                           match=f"first at tau = {taus[57]:.6g}$"):
+            dynamics.check_gate(dev, taus, GATE_TOL, "oracle deviation")
+        assert (dev[:57] < 1e-12).all()
 
     @pytest.mark.parametrize("custom", [None, FIELD_COPIES["R"]],
                              ids=["R", "R_copy"])
