@@ -1,5 +1,5 @@
 """Time evolution: driving-field models, the 63 equations and their
-propagation, and an independent complex density-matrix oracle propagator.
+propagation, and the independent complex density-matrix oracle that checks it.
 
 All times are dimensionless (tau = omega t); fields and exchange constants are
 expressed in units of the drive frequency omega.
@@ -22,10 +22,10 @@ is integrate on the (e, p) tensor with n maximally mixed.
 The built-in fields (R, NR, ConstantZ) turn about z at a constant rate, so
 in the frame that turns with them A is constant and the samples are exact:
 dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
-per field and coupling) are cached per process, and so are the oracle's
-eigenbasis of the 8x8 Hamiltonian in that frame and the maps that read R
-tensors off it; each call gates its own taus and forms its own amplitudes,
-phases and z turn (none with lab=False).  Custom fields: fixed RK4 steps of dt.
+per field and coupling) are cached per process, and so is the 8x8 eigenbasis
+in that frame that propagate_direct and the oracle check share; each call
+gates its own taus and forms its own amplitudes, phases and z turn (none with
+lab=False).  Custom fields: fixed RK4 steps of dt.
 """
 
 import functools
@@ -261,8 +261,8 @@ def check_gate(dev, taus, tol, what):
             f"tau = {taus[t]:.6g}{at}", *k)
 
 
-# Samples per block of the rotating-frame path (real) and of the oracle check
-# and Magnus steps per block (complex): bounds their temporaries to a few MB.
+# Samples per block of the rotating-frame path and the oracle check (real), and
+# of propagate_direct or its Magnus steps (complex): a few MB of temporaries.
 SAMPLE_BLOCK = 1024
 _RK4_BLOCK = 8   # RK4 steps per block of node matrices: 17 x 64^2, 544 KB
 
@@ -431,28 +431,28 @@ def _hamiltonians(mults, coupling):
 
 @functools.lru_cache(maxsize=8)
 def _eigenbasis(spec, coupling):
-    """The read-only (w, v) of a built-in field: the eigenvalues and
-    eigenvectors of H(0) + nu S_z, once per (spec, coupling)."""
+    """The read-only (w, v, g, d, s) of a built-in field, once per (spec,
+    coupling): H(0) + nu S_z = v diag(w) v^dag, its constant Hamiltonian in
+    its frame, and the maps that read R tensors off it: from a = v^dag rho v
+    at t = 0, R_c(t) = sum_i a_ii d[i, c] + sum_k Re[2 a_ij s[k, c]
+    e^{-i g_k t}] over the 28 pairs k = (i, j) of _PAIRS, g_k = w_i - w_j,
+    d[i, c] = (S_c)_ii and s[k, c] = (S_c)_ji, S_c = v^dag sigma_c v."""
     hs = _hamiltonians(spec.multipliers, coupling)
     h0 = np.tensordot(np.insert(spec.base(0.0), 0, 1.0), hs, 1)
     w, v = np.linalg.eigh(h0 + ROTATION[spec.kind] * np.diag(_SZ))
-    w.flags.writeable = v.flags.writeable = False
-    return w, v
-
-
-@functools.lru_cache(maxsize=8)
-def _eigenmaps(spec, coupling):
-    """oracle_deviation's read-only (v, g, d, s) of a built-in field: in its
-    frame H = v diag(w) v^dag is constant (_eigenbasis), so from a = v^dag
-    rho v at t = 0, R_c(t) = sum_i a_ii d[i, c] + sum_k Re[2 a_ij s[k, c]
-    e^{-i g_k t}] over the 28 pairs k = (i, j) of _PAIRS, g_k = w_i - w_j,
-    d[i, c] = (S_c)_ii and s[k, c] = (S_c)_ji, S_c = v^dag sigma_c v."""
-    w, v = _eigenbasis(spec, coupling)
     sc, (i, j) = v.conj().T @ pauli.BASIS.reshape(64, 8, 8) @ v, _PAIRS
-    maps = v, w[i] - w[j], sc.diagonal(0, 1, 2).real.T, sc[:, j, i].T
-    for m in maps:
+    basis = w, v, w[i] - w[j], sc.diagonal(0, 1, 2).real.T, sc[:, j, i].T
+    for m in basis:
         m.flags.writeable = False
-    return maps
+    return basis
+
+
+def _density(rho0):
+    """rho0 as one complex 8x8 density matrix (pauli.validate_density)."""
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho.shape}")
+    return pauli.validate_density(rho)
 
 
 def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
@@ -471,11 +471,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
     A step whose exponent's largest row sum is not below pi, the Magnus
     convergence radius, is a ValidationError naming its tau: lower dt.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (8, 8):
-        raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho0.shape}")
-    pauli.validate_density(rho0)
-    given, taus = taus, _finite_reals(taus, None)
+    rho0, given, taus = _density(rho0), taus, _finite_reals(taus, None)
     if taus is None:
         raise ValidationError("taus must be 1-D, non-empty, finite and real, "
                               f"got {given!r}")
@@ -514,7 +510,7 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
                 if last:
                     out[k1] = w
     else:   # W = V(tau) exp(-i (tau - taus[0]) (H(0) + nu S_z)) V(taus[0])^dag
-        (w, v), nu = _eigenbasis(spec, coupling), ROTATION[spec.kind]
+        (w, v, *_), nu = _eigenbasis(spec, coupling), ROTATION[spec.kind]
         f = np.exp(1j * nu * taus[:, None] * _SZ)   # the diagonal of V(tau)
         out = v * np.exp(-1j * (taus - taus[0])[:, None, None] * w)
         out = out.reshape(-1, 8) @ (v.conj().T * f[0].conj())   # one BLAS call
@@ -527,33 +523,25 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
 
 def oracle_deviation(ts, rho0, spec, coupling):
-    """Per sample, the max abs difference between the R tensors ts.states in
-    the field's frame (as integrate(..., lab=False) returns them) and those
-    from rho0, the lab-frame state at ts.taus[0]: read off _eigenmaps for a
-    built-in field; for a Custom one, whose frame is the lab frame, from
-    propagate_direct per block of SAMPLE_BLOCK samples, each from the last
-    state before, which bounds memory.  Check lab-frame states with
-    propagate_direct and rho_to_r."""
-    rho, dev = np.asarray(rho0, dtype=complex), np.empty(len(ts.taus))
-    if rho.shape != (8, 8):
-        raise ValidationError(f"rho0 must be one 8x8 matrix, got {rho.shape}")
-    pauli.validate_density(rho)
-    if builtin := spec.kind in ROTATION:
-        v, g, d, s = _eigenmaps(spec, coupling)
-        t0 = ts.taus[0] if len(dev) else 0.0
+    """Per sample, the max abs difference between the R tensors ts.states of
+    a built-in field in its frame (as integrate(..., lab=False) returns them)
+    and those read off _eigenbasis from rho0, the lab-frame state at
+    ts.taus[0]; a NaN or inf tau deviates by NaN.  Check lab-frame states,
+    and a Custom field's, with rho_to_r(propagate_direct(...))."""
+    if spec.kind not in ROTATION:
+        raise ValueError("oracle_deviation reads a built-in field's "
+                         f"eigenbasis; a {spec.kind} field has none")
+    rho, dev = _density(rho0), np.empty(len(ts.taus))
+    _, v, g, d, s = _eigenbasis(spec, coupling)
+    t0 = ts.taus[0] if len(dev) else 0.0
+    with np.errstate(invalid="ignore"):   # an inf tau: NaN, not a warning
         f = np.exp(-1j * ROTATION[spec.kind] * t0 * _SZ)   # into its frame
         a = (v.conj().T * f) @ rho @ (f.conj()[:, None] * v)
         amp = 2 * a[_PAIRS][:, None] * s
         c, re, im = a.diagonal().real @ d, amp.real.copy(), amp.imag.copy()
-    for k in range(0, len(dev), SAMPLE_BLOCK):
-        b = slice(k, k + SAMPLE_BLOCK)
-        if builtin:
+        for k in range(0, len(dev), SAMPLE_BLOCK):
+            b = slice(k, k + SAMPLE_BLOCK)
             ph = (ts.taus[b, None] - t0) * g
             r = np.cos(ph) @ re + np.sin(ph) @ im + c
-        else:   # rho is the state at sample max(k - 1, 0)
-            rhos = propagate_direct(rho, spec, coupling,
-                                    ts.taus[max(k - 1, 0):b.stop])[min(k, 1):]
-            r = pauli.rho_to_r(rhos, validate=False).reshape(len(rhos), 64)
-            rho = rhos[-1]
-        dev[b] = np.abs(ts.states[b].reshape(r.shape) - r).max(axis=1)
+            dev[b] = np.abs(ts.states[b].reshape(r.shape) - r).max(axis=1)
     return dev

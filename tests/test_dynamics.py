@@ -55,6 +55,23 @@ def qubit_fields(spec, tau):
     return np.multiply.outer(spec.multipliers, spec.base(tau))
 
 
+def read_direct(rho0, spec):
+    """propagate_direct from rho0 over two samples."""
+    return propagate_direct(rho0, spec, SECT5, [0.0, 0.1])
+
+
+def read_oracle(rho0, spec):
+    """oracle_deviation from rho0 of a two-sample series."""
+    ts = dynamics.TimeSeries(np.zeros(2), np.zeros((2, 4, 4, 4)))
+    return oracle_deviation(ts, rho0, spec, SECT5)
+
+
+# rho0's rule through both functions that read it, the oracle on R.
+RHO0_READERS = pytest.mark.parametrize(
+    "read", [read_direct, read_oracle],
+    ids=["propagate_direct", "oracle_deviation"])
+
+
 def complex_rotating_frame(y, spec, gens, taus):
     """The rotating-frame closed form in complex arithmetic, as a
     reference: one eigh of 1j K and complex phases per sample."""
@@ -566,7 +583,7 @@ class TestCachedStacks:
             spec = FieldSpec(kind="Custom", multipliers=m,
                              custom=FIELD_COPIES["R"])
             ts = integrate(r0, spec, SECT5, cfg)
-            oracle_deviation(ts, rho0, spec, SECT5)
+            propagate_direct(rho0, spec, SECT5, ts.taus)
         for build in (dynamics.stack, dynamics._hamiltonians):
             info = build.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
@@ -625,9 +642,10 @@ class TestCachedStacks:
     @OPERATING_POINTS
     def test_eigenbasis_read_only_and_equal_to_a_fresh_build(self, kind,
                                                              mults, coupling):
-        # the oracle's (w, v): v diag(w) v^dag is H(0) + nu S_z as the
-        # Hamiltonian builder and the spin operators make it; S_z's
-        # diagonal is one read-only constant, not part of the cache
+        # (w, v): v diag(w) v^dag is H(0) + nu S_z as the Hamiltonian
+        # builder and the spin operators make it; (g, d, s): the 28 gaps and
+        # S_c = v^dag sigma_c v's diagonal and pair entries.  S_z's diagonal
+        # is one read-only constant, not part of the cache
         spec = FieldSpec(kind=kind, multipliers=mults)
         cached = dynamics._eigenbasis(spec, coupling)
         for m, fresh in zip(cached, dynamics._eigenbasis.__wrapped__(
@@ -639,11 +657,18 @@ class TestCachedStacks:
         assert dynamics._eigenbasis(spec, coupling) is cached
         with pytest.raises(ValueError):
             dynamics._SZ[0] = 1.0
-        w, v = cached
+        w, v, g, d, s = cached
         sz = pauli.SPIN_E[2] + pauli.SPIN_P[2] + pauli.SPIN_N[2]
         ref = (pauli.build_hamiltonian(*qubit_fields(spec, 0.0), coupling)
                + dynamics.ROTATION[kind] * sz)
         assert np.abs((v * w) @ v.conj().T - ref).max() < 1e-13
+        i, j = np.triu_indices(8, 1)
+        sc = np.einsum('ai,cab,bj->cij', v.conj(),
+                       pauli.BASIS.reshape(64, 8, 8), v)
+        assert np.array_equal(g, w[i] - w[j])
+        assert d.shape == (8, 64) and s.shape == (28, 64)
+        assert np.abs(d - sc.diagonal(0, 1, 2).T).max() < 1e-13
+        assert np.abs(s - sc[:, j, i].T).max() < 1e-13
 
     def test_custom_field_fills_no_eigenbasis(self):
         rho0, _ = pauli.initial_state("W")
@@ -946,48 +971,47 @@ class TestPropagateDirect:
 
     def test_builtin_oracle_never_propagates(self, monkeypatch):
         # a built-in field's reference comes from its eigenbasis alone; a
-        # Custom copy still propagates
-        def propagate(*args, **kwargs):
-            raise RuntimeError("propagate_direct called")
+        # Custom field has none and is refused before its callable is called
+        def called(*args, **kwargs):
+            raise RuntimeError("called")
 
-        monkeypatch.setattr(dynamics, "propagate_direct", propagate)
+        monkeypatch.setattr(dynamics, "propagate_direct", called)
+        monkeypatch.setattr(pauli, "rho_to_r", called)
         rho0, r0 = pauli.initial_state("W")
         cfg = IntegratorConfig(tau_max=0.5)
-        for kind, h in FIELD_COPIES.items():
+        for kind in FIELD_COPIES:
             spec = FieldSpec(kind=kind)
             ts = integrate(r0, spec, SECT5, cfg, lab=False)
             assert oracle_deviation(ts, rho0, spec, SECT5).max() < 1e-12
-            copy = FieldSpec(kind="Custom", custom=h)
-            with pytest.raises(RuntimeError, match="propagate_direct called"):
-                oracle_deviation(integrate(r0, copy, SECT5, cfg), rho0, copy,
-                                 SECT5)
+        with pytest.raises(ValueError, match="a Custom field has none"):
+            oracle_deviation(ts, rho0, FieldSpec(kind="Custom", custom=called),
+                             SECT5)
 
-    @pytest.mark.parametrize("where, value", [
-        ("states", np.nan), ("states", np.inf), ("taus", np.nan)],
-        ids=["nan_state", "inf_state", "nan_tau"])
+    @pytest.mark.parametrize("where, value, at", [
+        ("states", np.nan, 57), ("states", np.inf, 57), ("taus", np.nan, 57),
+        ("taus", np.inf, 57), ("taus", np.inf, 0)],
+        ids=["nan_state", "inf_state", "nan_tau", "inf_tau", "inf_first_tau"])
     @BUILTIN_KINDS
-    def test_oracle_gate_fails_closed(self, where, value, kind):
-        # one bad sample trips the gate there and nowhere before
+    def test_oracle_gate_fails_closed(self, where, value, at, kind):
+        # one bad sample trips the gate there and nowhere before; every
+        # phase is taken from the first tau
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind=kind)
         ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=2.0),
                        lab=False)
         taus = ts.taus.copy()
-        getattr(ts, where)[57] = value
+        getattr(ts, where)[at] = value
         dev = oracle_deviation(ts, rho0, spec, SECT5)
         with pytest.raises(AccuracyError,
-                           match=f"first at tau = {taus[57]:.6g}$"):
+                           match=f"first at tau = {taus[at]:.6g}$"):
             dynamics.check_gate(dev, taus, GATE_TOL, "oracle deviation")
-        assert (dev[:57] < 1e-12).all()
+        assert (dev[:at] < 1e-12).all()
 
-    @pytest.mark.parametrize("custom", [None, FIELD_COPIES["R"]],
-                             ids=["R", "R_copy"])
-    def test_blocked_deviation_matches_whole_grid(self, custom):
-        # each block of the oracle restarts from the block before's last state;
-        # the whole grid is compared in the lab frame, the blocks in the
-        # field's (one frame for the Custom copy)
+    def test_blocked_deviation_matches_whole_grid(self):
+        # the oracle reads more than two blocks of samples; the whole grid is
+        # compared in the lab frame, the blocks in the field's
         rho0, r0 = pauli.initial_state("GHZ")
-        spec = FieldSpec(kind="Custom" if custom else "R", custom=custom)
+        spec = FieldSpec(kind="R")
         cfg = IntegratorConfig(tau_max=2.5, sample_every=1)
         ts = integrate(r0, spec, SECT5, cfg)
         assert len(ts.taus) > 2 * SAMPLE_BLOCK
@@ -1065,25 +1089,29 @@ class TestPropagateDirect:
         back = propagate_direct(exact[-1], custom, SECT5, taus[::-50])
         assert np.abs(back - exact[::-50]).max() < 1e-10
 
-    def test_rejects_bad_density(self):
+    @RHO0_READERS
+    def test_rejects_bad_density(self, read):
         with pytest.raises(ValidationError):
-            propagate_direct(np.eye(8), FieldSpec(kind="R"), SECT5, [0.0])
+            read(np.eye(8), FieldSpec(kind="R"))
 
-    def test_rejects_negative_eigenvalue(self):
+    @RHO0_READERS
+    def test_rejects_negative_eigenvalue(self, read):
         # Hermitian with unit trace, one eigenvalue below -PSD_TOL
         rho0 = np.diag([0.5 + 1e-6, 0.5] + [0.0] * 5 + [-1e-6])
         with pytest.raises(ValidationError,
                            match="negative eigenvalue -1.000e-06"):
-            propagate_direct(rho0, FieldSpec(kind="R"), SECT5, [0.0])
+            read(rho0, FieldSpec(kind="R"))
 
-    @pytest.mark.parametrize("kind", ["R", "Custom"])
+    @pytest.mark.parametrize("read, kind", [
+        (read_direct, "R"), (read_direct, "Custom"), (read_oracle, "R")],
+        ids=["propagate_direct-R", "propagate_direct-Custom",
+             "oracle_deviation-R"])
     @pytest.mark.parametrize("count", [1, 2, 5])
-    def test_rejects_a_stack_of_densities(self, kind, count):
+    def test_rejects_a_stack_of_densities(self, read, kind, count):
         rho0, _ = pauli.initial_state("W")
         spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])
         with pytest.raises(ValidationError, match="one 8x8"):
-            propagate_direct(np.stack([rho0] * count), spec, SECT5,
-                             [0.0, 0.1])
+            read(np.stack([rho0] * count), spec)
 
     def test_magnus_blocks_match_per_step_loop(self):
         # a zero gap, a backward gap, gaps that are not multiples of dt and

@@ -334,12 +334,11 @@ class TestRunPreset:
     def test_figure1_with_cold_and_warm_modes_is_byte_identical(self,
                                                                 tmp_path):
         # the second run reads every field's modes, every field's oracle
-        # eigenbasis and maps and every start state from the caches; each
+        # eigenbasis and every start state from the caches; each
         # manifest records the bound the exact path's gate checks at tau 30,
         # once, and both gates' ratios, below 1 (NaN fails).  The oracle only
         # checks: the run without it writes the same CSVs.
-        caches = (dynamics._modes, dynamics._eigenbasis, dynamics._eigenmaps,
-                  pauli._state)
+        caches = (dynamics._modes, dynamics._eigenbasis, pauli._state)
         for cache in caches:
             cache.cache_clear()
         cold = run_preset("figure1", tmp_path / "cold", oracle=True)
@@ -359,7 +358,7 @@ class TestRunPreset:
             assert float(entries["err_bound"]) <= 3.41e-14
             assert float(entries["drift_gate_ratio"]) < 1
             assert float(entries["oracle_gate_ratio"]) < 1
-        assert [c.cache_info().misses for c in caches] == [2, 2, 2, 5]
+        assert [c.cache_info().misses for c in caches] == [2, 2, 5]
 
     def test_oracle_on_writes_the_csvs_of_oracle_off(self, tmp_path):
         # the oracle only checks: all 21 CSVs of the five presets are the
