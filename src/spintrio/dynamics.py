@@ -331,9 +331,10 @@ def _rotating_frame(ys, spec, coupling, taus):
     ms = (b * e - a * o).reshape(len(w), -1)
     states = np.empty((len(taus), ys.size))
     for s in range(0, len(taus), SAMPLE_BLOCK):
-        t = taus[s:s + SAMPLE_BLOCK, None]
-        states[s:s + SAMPLE_BLOCK] = (np.cos(t * w) @ mc + np.sin(t * w) @ ms
-                                      + rest.ravel())
+        ph = taus[s:s + SAMPLE_BLOCK, None] * w
+        block = np.matmul(np.cos(ph), mc, out=states[s:s + SAMPLE_BLOCK])
+        block += np.sin(ph) @ ms
+        block += rest.ravel()
     states[0] = ys.ravel()   # tau = 0 is r0 itself, as on the RK4 path
     return states
 

@@ -3,7 +3,8 @@
 Five global measures are provided: the squared triple-cumulant norm (m_sm),
 the pure-state concurrence (c3), two measures built from single-qubit reduced
 states (m_b, m_l), and the GHZ-class three-tangle via populations (m_k).
-m_sm and c3 are reported raw; they are not normalized to 1.
+m_sm and c3 are reported raw, not normalized to 1.  m_sm's triple
+cumulant is r3 - a(x)r_pn - b(x)r_en - c(x)r_ep + 2 a(x)b(x)c, expanded.
 
 Every function takes one R tensor (4, 4, 4), or a stack (..., 4, 4, 4) and
 works on the trailing axes; a scalar measure returns a float for one tensor
@@ -22,8 +23,9 @@ def _value(x):
 
 
 def _sq(x, axes):
-    """Sum of squares over the trailing `axes` axes."""
-    return np.sum(x * x, axis=tuple(range(-axes, 0)))
+    """Sum of squares over the trailing `axes` axes, as one contraction."""
+    sub = "...ijk"[:3 + axes]
+    return np.einsum(f"{sub},{sub}->...", x, x)
 
 
 def _guard(values, err, tol, message):
@@ -49,14 +51,13 @@ def pair_tensors(r):
 
 
 def triple_tensor(r):
-    """Cumulant-subtracted three-particle correlation tensor."""
-    a, b, c = local_vectors(r)
-    m_ep, m_en, m_pn = pair_tensors(r)
-    return (r[..., 1:, 1:, 1:]
-            - np.einsum('...i,...jk->...ijk', a, m_pn)
-            - np.einsum('...j,...ik->...ijk', b, m_en)
-            - np.einsum('...k,...ij->...ijk', c, m_ep)
-            - np.einsum('...i,...j,...k->...ijk', a, b, c))
+    """Cumulant-subtracted three-particle correlation tensor
+    r3 - a(x)m_pn - b(x)m_en - c(x)m_ep - a(x)b(x)c, m_ from pair_tensors,
+    evaluated expanded as r3 - a(x)r_pn - b(x)r_en - c(x)r_ep + 2 a(x)b(x)c
+    with r_ the raw pair correlations, by broadcasting."""
+    a, b, c = r[..., 1:, :1, :1], r[..., :1, 1:, :1], r[..., :1, :1, 1:]
+    return (r[..., 1:, 1:, 1:] - a * r[..., :1, 1:, 1:]
+            - b * r[..., 1:, :1, 1:] - c * r[..., 1:, 1:, :1] + 2 * a * b * c)
 
 
 def m_sm(r):
@@ -120,7 +121,10 @@ def m_l(r):
 def flip_probability(r, qubit="n"):
     """Spin-flip probability (1 - R_z)/2 of one qubit, for scenarios started
     from the corresponding R_z = +1 polarization."""
-    idx = {"e": (3, 0, 0), "p": (0, 3, 0), "n": (0, 0, 3)}[qubit]
+    try:
+        idx = {"e": (3, 0, 0), "p": (0, 3, 0), "n": (0, 0, 3)}[qubit]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown qubit {qubit!r}; use e, p or n") from None
     return _value((1.0 - r[(Ellipsis,) + idx]) / 2.0)
 
 

@@ -64,6 +64,24 @@ class TestTripleTensor:
     def test_bs_vanishes(self):
         assert np.abs(measures.triple_tensor(r_of("BS"))).max() < 1e-13
 
+    def test_matches_pair_cumulant_definition(self, rng):
+        # the expanded form against r3 - a(x)m_pn - b(x)m_en - c(x)m_ep
+        # - a(x)b(x)c built from pair_tensors, for one tensor and an (n, k)
+        # stack of mixed states of every rank
+        r = pauli.rho_to_r(np.stack([random_density(rng, rank=k % 8 + 1)
+                                     for k in range(12)]))
+        for rs in (r[0], r.reshape(3, 4, 4, 4, 4)):
+            a, b, c = measures.local_vectors(rs)
+            m_ep, m_en, m_pn = measures.pair_tensors(rs)
+            want = (rs[..., 1:, 1:, 1:]
+                    - np.einsum('...i,...jk->...ijk', a, m_pn)
+                    - np.einsum('...j,...ik->...ijk', b, m_en)
+                    - np.einsum('...k,...ij->...ijk', c, m_ep)
+                    - np.einsum('...i,...j,...k->...ijk', a, b, c))
+            got = measures.triple_tensor(rs)
+            assert got.shape == want.shape == rs.shape[:-3] + (3, 3, 3)
+            assert np.abs(got - want).max() <= 1e-14
+
 
 class TestMeasureValues:
     def test_m_sm(self):
@@ -111,6 +129,12 @@ class TestMeasureValues:
         r[0, 0, 0] = 1.0
         r[0, 0, 3] = rz
         assert measures.flip_probability(r) == expected
+
+    @pytest.mark.parametrize("qubit", ["x", None, ["e"]])
+    def test_flip_probability_unknown_qubit(self, qubit):
+        # a hashable and an unhashable bad name both name the three qubits
+        with pytest.raises(ValueError, match="use e, p or n"):
+            measures.flip_probability(r_of("S"), qubit=qubit)
 
     def test_population_physicality_guard(self):
         r = np.zeros((4, 4, 4))
@@ -240,14 +264,16 @@ class TestChannels:
         assert out["rho11"][0] == pytest.approx(0.5, abs=1e-13)
 
     def test_stack_matches_per_tensor_calls(self, rng):
+        # an (n,) stack, and the (n, k) stack _run_group passes per group
         states = pauli.rho_to_r(np.stack([random_pure(rng)
                                           for _ in range(20)]))
         for name, fn in measures.CHANNELS.items():
-            stacked = measures.evaluate_channels(states, [name])[name]
-            assert stacked.shape == (len(states),)
             singles = [fn(r) for r in states]
             assert all(type(v) is float for v in singles), name
-            assert np.abs(stacked - singles).max() <= 1e-15, name
+            for stack in (states, states.reshape(4, 5, 4, 4, 4)):
+                stacked = measures.evaluate_channels(stack, [name])[name]
+                assert stacked.shape == stack.shape[:-3], name
+                assert np.abs(stacked.ravel() - singles).max() <= 1e-15, name
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError):
