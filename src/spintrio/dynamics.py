@@ -24,8 +24,8 @@ in the frame that turns with them A is constant and the samples are exact:
 dt only sets the sample spacing dt * sample_every.  Their modes (one SVD
 per field and coupling) are cached per process, and so is the 8x8 eigenbasis
 in that frame that propagate_direct and the oracle check share; each call
-gates its own taus and forms its own amplitudes, phases and z turn (none with
-lab=False).  Custom fields: fixed RK4 steps of dt.
+gates its own taus, forms its own amplitudes and phases and, unless lab=False,
+turns each block into the lab frame.  Custom fields: fixed RK4 steps of dt.
 """
 
 import functools
@@ -130,6 +130,8 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "Custom" and not callable(self.custom):
             raise ValueError("Custom field requires a callable")
+        if self.kind != "Custom" and self.custom is not None:
+            raise ValueError(f"{self.kind} field takes no custom callable")
         if np.ndim(self.multipliers) != 1 or len(self.multipliers) != 3:
             raise ValueError("need exactly three per-qubit multipliers")
         for v in (self.omega0, self.omega1, *self.multipliers):
@@ -311,9 +313,10 @@ def precision_bound(spec, coupling, taus):
         return 2.0 ** -53 * _modes(spec, coupling)[0].max() * taus
 
 
-def _rotating_frame(ys, spec, coupling, taus):
+def _rotating_frame(ys, spec, coupling, taus, lab):
     """Exact samples from the rows of ys, (k, 64), for a built-in field
-    turning about z at rate nu, shape (n, k * 64), in the field's frame:
+    turning about z at rate nu, shape (n, k * 64), in the field's frame or,
+    with lab, turned block by block into the lab frame by Z(-nu tau):
     exp(K tau) R(0), with K = A(0) + nu G_z real (h_y(0) = 0) and constant.
     K flips the parity of y slots: K = [[0, B], [-B^T, 0]] on (even, odd).
     With B = U S V^T, U^T y_even and V^T y_odd turn into each other at the
@@ -329,29 +332,19 @@ def _rotating_frame(ys, spec, coupling, taus):
     rest = np.where(_ODD_Y, 0.0, ys) - (a * e).sum(axis=0)   # U's null columns
     mc = (a * e + b * o).reshape(len(w), -1)
     ms = (b * e - a * o).reshape(len(w), -1)
-    states = np.empty((len(taus), ys.size))
+    states, nu = np.empty((len(taus), ys.size)), ROTATION[spec.kind] * lab
     for s in range(0, len(taus), SAMPLE_BLOCK):
-        ph = taus[s:s + SAMPLE_BLOCK, None] * w
+        ph = (t := taus[s:s + SAMPLE_BLOCK, None]) * w
         block = np.matmul(np.cos(ph), mc, out=states[s:s + SAMPLE_BLOCK])
         block += np.sin(ph) @ ms
         block += rest.ravel()
+        if nu:   # with nu = 0 (ConstantZ) the frames are one
+            c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
+            for q in range(3):   # the slot of qubit q is axis 2 of v
+                v = block.reshape(len(t), -1, 4, 4 ** (2 - q))
+                px, py = v[:, :, 1], v[:, :, 2]
+                v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
     states[0] = ys.ravel()   # tau = 0 is r0 itself, as on the RK4 path
-    return states
-
-
-def _to_lab(states, spec, taus):
-    """states, (n, ..., 4, 4, 4) in the frame turning with spec's field,
-    turned in place into the lab frame by Z(-nu tau), SAMPLE_BLOCK samples
-    at a time; with nu = 0 (ConstantZ, Custom) the frames are one."""
-    nu = ROTATION.get(spec.kind, 0)
-    for s in range(0, len(taus) if nu else 0, SAMPLE_BLOCK):
-        t = taus[s:s + SAMPLE_BLOCK, None]
-        c, sn = np.cos(nu * t)[..., None], np.sin(nu * t)[..., None]
-        block = states[s:s + SAMPLE_BLOCK]
-        for q in range(3):   # the slot of qubit q is axis 2 of v
-            v = block.reshape(len(t), -1, 4, 4 ** (2 - q))
-            px, py = v[:, :, 1], v[:, :, 2]
-            v[:, :, 1], v[:, :, 2] = c * px + sn * py, c * py - sn * px
     return states
 
 
@@ -360,17 +353,16 @@ def integrate(r0, spec, coupling, cfg=IntegratorConfig(), *, lab=True):
     each tensor of a (k, 4, 4, 4) stack: exact in the rotating frame for a
     built-in field, RK4 for a Custom one.  Returns a TimeSeries with a 'b'
     channel: states (n, 4, 4, 4) and b (n,) for one tensor, (n, k, 4, 4, 4)
-    and (n, k) for a stack, in the lab frame.  lab=False keeps the field's
-    frame, turning about z at rate nu (R +1, NR -1; else 0: the lab frame).
-    Raises AccuracyError if a Bloch length drifts beyond GATE_TOL, naming
-    the first tau and, in a stack, the index."""
+    and (n, k) for a stack, in the lab frame: the exact path turns each block
+    by Z(-nu tau) as it writes it.  lab=False keeps the field's frame,
+    turning about z at rate nu (R +1, NR -1; else 0: the lab frame).  Raises
+    AccuracyError if a Bloch length drifts beyond GATE_TOL, naming the first
+    tau and, in a stack, the index."""
     r0 = pauli.check_normalized(r0)
     ys = r0.reshape(-1, 64)
     n_steps, taus = cfg.grid()
     if spec.kind in ROTATION:
-        states = _rotating_frame(ys, spec, coupling, taus)
-        if lab:   # tau = 0 is r0 itself
-            _to_lab(states[1:], spec, taus[1:])
+        states = _rotating_frame(ys, spec, coupling, taus, lab)
     else:   # one tensor steps as a stack of one, (1, 64)
         states = _rk4(ys, spec, coupling, cfg, n_steps)
     states = states.reshape((len(taus),) + r0.shape)
@@ -525,24 +517,23 @@ def propagate_direct(rho0, spec, coupling, taus, dt=1e-3):
 
 def oracle_deviation(ts, rho0, spec, coupling):
     """Per sample, the max abs difference between the R tensors ts.states of
-    a built-in field in its frame (as integrate(..., lab=False) returns them)
-    and those read off _eigenbasis from rho0, the lab-frame state at
-    ts.taus[0]; a NaN or inf tau deviates by NaN.  Check lab-frame states,
-    and a Custom field's, with rho_to_r(propagate_direct(...))."""
+    a built-in field in its frame (as integrate(..., lab=False) returns
+    them) and those read off _eigenbasis from rho0, the state at tau = 0:
+    ts.taus are absolute, so any subset of a run's samples is checked from
+    its rho0.  A NaN or inf tau deviates by NaN.  Lab-frame states, and a
+    Custom field's, are checked with rho_to_r(propagate_direct(...))."""
     if spec.kind not in ROTATION:
         raise ValueError("oracle_deviation reads a built-in field's "
                          f"eigenbasis; a {spec.kind} field has none")
     rho, dev = _density(rho0), np.empty(len(ts.taus))
     _, v, g, d, s = _eigenbasis(spec, coupling)
-    t0 = ts.taus[0] if len(dev) else 0.0
     with np.errstate(invalid="ignore"):   # an inf tau: NaN, not a warning
-        f = np.exp(-1j * ROTATION[spec.kind] * t0 * _SZ)   # into its frame
-        a = (v.conj().T * f) @ rho @ (f.conj()[:, None] * v)
+        a = v.conj().T @ rho @ v
         amp = 2 * a[_PAIRS][:, None] * s
         c, re, im = a.diagonal().real @ d, amp.real.copy(), amp.imag.copy()
         for k in range(0, len(dev), SAMPLE_BLOCK):
             b = slice(k, k + SAMPLE_BLOCK)
-            ph = (ts.taus[b, None] - t0) * g
+            ph = ts.taus[b, None] * g
             r = np.cos(ph) @ re + np.sin(ph) @ im + c
             dev[b] = np.abs(ts.states[b].reshape(r.shape) - r).max(axis=1)
     return dev

@@ -87,6 +87,18 @@ def reduced(rho, keep):
     return t.reshape(dim, dim)
 
 
+def turn_z(states, nu, taus):
+    """(n, ..., 4, 4, 4) R tensors in a frame turning about z at rate nu,
+    turned into the lab frame: each qubit's slot of sample i by the explicit
+    4x4 rotation Z(-nu taus[i]), x' = c x + s y and y' = c y - s x."""
+    c, s = np.cos(nu * np.asarray(taus)), np.sin(nu * np.asarray(taus))
+    z = np.zeros((len(c), 4, 4))
+    z[:, 0, 0] = z[:, 3, 3] = 1.0
+    z[:, 1, 1] = z[:, 2, 2] = c
+    z[:, 1, 2], z[:, 2, 1] = s, -s
+    return np.einsum('tad,tbe,tcf,t...def->t...abc', z, z, z, states)
+
+
 # Each built-in field at its defaults, written out independently as the
 # base field of a Custom one: these take the RK4 path.
 FIELD_COPIES = {

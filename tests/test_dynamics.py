@@ -19,7 +19,7 @@ from spintrio.dynamics import (GATE_TOL, MAX_STEPS, SAMPLE_BLOCK,
                                oracle_deviation, propagate_direct)
 from spintrio.errors import AccuracyError, ValidationError
 
-from conftest import FIELD_COPIES, brute_rho, random_pure
+from conftest import FIELD_COPIES, brute_rho, random_pure, turn_z
 
 SECT5 = CouplingConstants()  # (-0.2, -0.1, -0.3)
 
@@ -137,6 +137,14 @@ class TestFieldAt:
             with pytest.raises(ValueError,
                                match="Custom field requires a callable"):
                 FieldSpec(kind="Custom", custom=custom)
+
+    @BUILTIN_KINDS
+    def test_builtin_kind_refuses_a_custom_value(self, kind):
+        # a built-in field would run as itself and ignore the callable
+        for custom in (FIELD_COPIES["R"], 5):
+            with pytest.raises(ValueError, match=f"^{kind} field takes no "
+                                                 "custom callable"):
+                FieldSpec(kind=kind, custom=custom)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -763,25 +771,27 @@ class TestRotatingFrame:
 
     @pytest.mark.parametrize("kind", [*FIELD_COPIES, "Custom"])
     def test_field_frame_is_the_lab_frame_turned_back(self, kind):
-        # lab=False skips only the final turn: _to_lab gives integrate's
-        # lab-frame states (== as tau = 0, r0 itself, is not turned there),
-        # over more than one block; with nu = 0 the frames are one and the
-        # turn multiplies nothing, so even the sign of a zero stays
-        spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])
+        # lab=False skips only the turn: Z(-nu tau) from explicit 4x4
+        # rotations gives integrate's lab-frame states over more than one
+        # block; tau = 0 is r0 itself in both frames, down to the sign of
+        # each zero, and with nu = 0 the frames are one, byte for byte
+        custom = FIELD_COPIES["R"] if kind == "Custom" else None
+        spec = FieldSpec(kind=kind, custom=custom)
         cfg = IntegratorConfig(tau_max=11.0, dt=0.002, sample_every=5)
         r0 = np.stack([pauli.initial_state(n)[1] for n in ("S", "W", "GHZ")])
+        r0[r0 == 0] = -0.0
         field = integrate(r0, spec, SECT5, cfg, lab=False)
         lab = integrate(r0, spec, SECT5, cfg)
         assert len(lab.taus) > SAMPLE_BLOCK
-        turned = dynamics._to_lab(field.states.copy(), spec, field.taus)
-        assert np.array_equal(turned, lab.states)
-        if dynamics.ROTATION.get(kind, 0):
+        nu = dynamics.ROTATION.get(kind, 0)
+        turned = turn_z(field.states, nu, field.taus)
+        assert np.abs(turned - lab.states).max() < 1e-15
+        for states in (field.states, lab.states):
+            assert states[0].tobytes() == r0.tobytes()
+        if nu:
             assert np.abs(field.states - lab.states).max() > 0.5
         else:
             assert field.states.tobytes() == lab.states.tobytes()
-            zeros = np.full((2, 4, 4, 4), -0.0)
-            assert np.signbit(dynamics._to_lab(zeros, spec, field.taus[:2])
-                              ).all()
 
     # omega0, and the first tau at which 2^-53 max(w) tau passes GATE_TOL;
     # integrate_two's largest multiplier is 2, so 1e6 stays inside to tau 30
@@ -956,16 +966,21 @@ class TestPropagateDirect:
         assert oracle_deviation(ts, rho0, spec, coupling).max() < 1e-13
 
     @BUILTIN_KINDS
-    def test_oracle_from_a_later_sample(self, kind):
-        # rho0 is the lab-frame state at ts.taus[0], which need not be 0;
-        # an empty series has no deviation
+    def test_oracle_on_a_subset_of_samples(self, kind):
+        # ts.taus are absolute: every 97th sample past tau = 0, plus the
+        # last, checked from the run's own rho0 at tau = 0, deviates as the
+        # full check does there, bit for bit; an empty series has none
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind=kind)
-        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=3.0),
+        ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=30.0),
                        lab=False)
-        later = propagate_direct(rho0, spec, SECT5, ts.taus)[50]
-        part = dynamics.TimeSeries(ts.taus[50:], ts.states[50:])
-        assert oracle_deviation(part, later, spec, SECT5).max() < 1e-12
+        full = oracle_deviation(ts, rho0, spec, SECT5)
+        idx = np.r_[np.arange(50, len(ts.taus), 97), len(ts.taus) - 1]
+        part = dynamics.TimeSeries(ts.taus[idx], ts.states[idx])
+        assert part.taus[0] > 0
+        dev = oracle_deviation(part, rho0, spec, SECT5)
+        assert dev.tobytes() == full[idx].tobytes()
+        assert dev.max() < 1e-12
         empty = dynamics.TimeSeries(ts.taus[:0], ts.states[:0])
         assert oracle_deviation(empty, rho0, spec, SECT5).shape == (0,)
 
@@ -993,8 +1008,8 @@ class TestPropagateDirect:
         ids=["nan_state", "inf_state", "nan_tau", "inf_tau", "inf_first_tau"])
     @BUILTIN_KINDS
     def test_oracle_gate_fails_closed(self, where, value, at, kind):
-        # one bad sample trips the gate there and nowhere before; every
-        # phase is taken from the first tau
+        # one bad sample trips the gate there and nowhere before, the first
+        # sample too: each sample's phases come from its own tau
         rho0, r0 = pauli.initial_state("GHZ")
         spec = FieldSpec(kind=kind)
         ts = integrate(r0, spec, SECT5, IntegratorConfig(tau_max=2.0),
@@ -1109,7 +1124,8 @@ class TestPropagateDirect:
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_rejects_a_stack_of_densities(self, read, kind, count):
         rho0, _ = pauli.initial_state("W")
-        spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"])
+        spec = FieldSpec(kind=kind, custom=FIELD_COPIES["R"]
+                         if kind == "Custom" else None)
         with pytest.raises(ValidationError, match="one 8x8"):
             read(np.stack([rho0] * count), spec)
 

@@ -20,7 +20,7 @@ from spintrio.harness import (ScenarioConfig, list_presets, parse_config,
                               preset_configs, run_preset, run_scenario,
                               with_overrides)
 
-from conftest import FIELD_COPIES
+from conftest import FIELD_COPIES, turn_z
 
 FAST = dict(tau_max=2.0)
 
@@ -423,21 +423,23 @@ class TestRunPreset:
 
     def test_oracle_check_turns_no_state_into_the_lab(self, monkeypatch,
                                                       tmp_path):
-        # the oracle check compares in the run's own frame: with the lab
-        # turn refused, figure1 runs with the oracle on and writes the bytes
-        # of an unrefused run
+        # the oracle check compares in the run's own frame: figure1 with the
+        # oracle on asks integrate for the field's frame only and writes the
+        # bytes of a run that was not watched
         run_preset("figure1", tmp_path / "plain", oracle=True, tau_max=2.0)
+        frames = []
 
-        def refuse(*args):
-            raise AssertionError("states turned into the lab frame")
-        monkeypatch.setattr(dynamics, "_to_lab", refuse)
-        run_preset("figure1", tmp_path / "refused", oracle=True, tau_max=2.0)
-        assert not hasattr(harness, "_to_lab")
+        def watched(*args, **kwargs):
+            frames.append(kwargs.get("lab", True))
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(harness, "integrate", watched)
+        run_preset("figure1", tmp_path / "watched", oracle=True, tau_max=2.0)
+        assert frames == [False, False]   # the R group and the NR group
         plain = sorted((tmp_path / "plain").glob("*.csv"))
         assert len(plain) == 10
         for path in plain:
             assert (path.read_bytes()
-                    == (tmp_path / "refused" / path.name).read_bytes())
+                    == (tmp_path / "watched" / path.name).read_bytes())
 
     def test_figure3_records_both_precision_bounds(self, tmp_path):
         run_preset("figure3", tmp_path)
@@ -674,13 +676,13 @@ class TestCli:
         # (drift 8.3e-10) but leaves the exact answer by 4.8e-8, first at
         # tau = 7.28 in the field's frame; the run itself would propagate R
         # exactly.  The copy returns its lab-frame states turned into the
-        # frame asked for: Z(+nu tau) is _to_lab at -tau
+        # frame asked for, turning at nu = 1: Z(+tau) is turn_z at -nu
         def rk4_copy(r0, spec, coupling, cfg, *, lab=True):
             assert spec == FieldSpec(kind="R")
             copy = FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])
             ts = integrate(r0, copy, coupling, cfg)
             if not lab:
-                dynamics._to_lab(ts.states, spec, -ts.taus)
+                ts.states = turn_z(ts.states, -1, ts.taus)
             return ts
 
         monkeypatch.setattr(harness, "integrate", rk4_copy)
