@@ -30,8 +30,6 @@ turns each block into the lab frame.  Custom fields: fixed RK4 steps of dt.
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +37,7 @@ import numpy as np
 
 from . import pauli
 from .errors import AccuracyError, ValidationError
-from .pauli import GATE_TOL
+from .pauli import GATE_TOL, _finite_reals, _real
 
 # Most steps of dt on one grid (RK4 steps on a Custom field): 33x the
 # default run, 512 MB of samples at sample_every = 1.
@@ -67,12 +65,6 @@ EXCHANGE = (np.einsum('aic,bid->abcd', DELTA, pauli.EPS)
 _ODD_Y = (np.indices((4, 4, 4)) == 2).sum(axis=0).ravel() % 2 == 1
 
 
-def _real(v):
-    """Whether v is a real number, not a bool, and finite as a float."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 @dataclass(frozen=True)
 class CouplingConstants:
     """Isotropic exchange constants for the three qubit pairs."""
@@ -85,25 +77,6 @@ class CouplingConstants:
             if not _real(v):
                 raise ValueError("exchange constants must be finite and "
                                  f"real, got {v!r}")
-
-
-def _finite_reals(v, shape, scale=1.0):
-    """v as floats if it holds reals, no bool, of this shape (None: non-empty
-    1-D), scale * sum |v| finite per row (None: per element); else None."""
-    try:
-        a = np.asarray(v)
-    except (TypeError, ValueError):   # e.g. values of different lengths
-        return None
-    with np.errstate(over="ignore"):
-        ok = (a.dtype.kind in "iuf"
-              and (a.shape == shape if shape else a.ndim == 1 and a.size > 0)
-              and np.isfinite(scale * (abs(a).sum(-1) if shape else a)).all())
-    # numpy reads a bool among numbers as 1.0 or 0.0: look each one up in v
-    if ok and not isinstance(v, np.ndarray):
-        ok = not any(isinstance(functools.reduce(lambda x, i: x[i], ij, v),
-                                (bool, np.bool_))
-                     for ij in np.argwhere((a == 0) | (a == 1)).tolist())
-    return a.astype(float) if ok else None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Pauli-product kernel for the three-qubit system.
 
-Everything here is basis bookkeeping: the 64 operators sigma_a x sigma_b x
-sigma_c, conversion of an 8x8 density matrix to its real expansion
-coefficients r[a, b, c] (the "R tensor"), canonical initial states, and the
-generalized Bloch length.
+Basis bookkeeping (the 64 operators sigma_a x sigma_b x sigma_c, an 8x8
+density matrix's real expansion coefficients r[a, b, c], the "R tensor",
+canonical initial states, the generalized Bloch length) and, as every other
+module imports pauli, the rules for real inputs: _real and _finite_reals.
 
 Conventions (fixed throughout the package):
   * qubit order e, p, n; the leftmost Kronecker factor acts on e;
@@ -15,6 +15,7 @@ Conventions (fixed throughout the package):
 
 import functools
 import numbers
+import sys
 
 import numpy as np
 
@@ -57,19 +58,43 @@ PSD_TOL = 1e-10
 GATE_TOL = 1e-8
 
 
+def _real(v):
+    """Whether v is a real number, not a bool, and finite as a float."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _finite_reals(v, shape, scale=1.0):
+    """v as floats if it holds reals, no bool, of this shape (None: non-empty
+    1-D), scale * sum |v| finite per row (None: per element); else None."""
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):   # e.g. values of different lengths
+        return None
+    with np.errstate(over="ignore"):
+        ok = (a.dtype.kind in "iuf"
+              and (a.shape == shape if shape else a.ndim == 1 and a.size > 0)
+              and np.isfinite(scale * (abs(a).sum(-1) if shape else a)).all())
+    # numpy reads a bool among numbers as 1.0 or 0.0: look each one up in v
+    if ok and not isinstance(v, np.ndarray):
+        ok = not any(isinstance(functools.reduce(lambda x, i: x[i], ij, v),
+                                (bool, np.bool_))
+                     for ij in np.argwhere((a == 0) | (a == 1)).tolist())
+    return a.astype(float) if ok else None
+
+
 def build_hamiltonian(h_e, h_p, h_n, coupling):
     """Hamiltonian of three exchange-coupled qubits in fields h_e, h_p, h_n.
 
-    Each field is a 3-vector or a (..., 3) stack (giving (..., 8, 8)).
-    `coupling` is any object with j_ep, j_en, j_pn attributes (in units of
-    the reference frequency).
+    Each field is a 3-vector or a (..., 3) stack (giving (..., 8, 8)) of
+    reals, no bool, whose sum of |h_i| is finite per 3-vector (_finite_reals),
+    else a ValueError.  `coupling` is any object with j_ep, j_en, j_pn
+    attributes (in units of the reference frequency).
     """
-    h_e = np.asarray(h_e, dtype=float)
-    h_p = np.asarray(h_p, dtype=float)
-    h_n = np.asarray(h_n, dtype=float)
-    for v in (h_e, h_p, h_n):
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite field component")
+    h_e, h_p, h_n = (_finite_reals(h, np.shape(h)) for h in (h_e, h_p, h_n))
+    if h_e is None or h_p is None or h_n is None:
+        raise ValueError("field components must be reals, not bool or "
+                         "complex, with a finite sum of |h_i| per 3-vector")
     exchange = (coupling.j_ep * EXCHANGE_EP + coupling.j_en * EXCHANGE_EN
                 + coupling.j_pn * EXCHANGE_PN)
     return (np.tensordot(h_e, SPIN_E, axes=1)
@@ -122,7 +147,7 @@ def check_normalized(r, qubits=3):
     one = (4,) * qubits
     expected = f"R tensor must be {'x'.join('4' * qubits)} or a stack of them"
     try:
-        r = np.asarray(r)
+        v, r = r, np.asarray(r)
     except (TypeError, ValueError):   # e.g. rows of different lengths
         raise ValidationError(f"{expected}, got no array shape") from None
     if r.dtype.kind not in "iuf":
@@ -140,6 +165,8 @@ def check_normalized(r, qubits=3):
         if not b <= pure + GATE_TOL:
             raise ValidationError(f"{at}Bloch length {b:.6g} exceeds "
                                   f"{pure:.6g}, that of a pure state")
+    if not isinstance(v, np.ndarray) and _finite_reals(v, r.shape) is None:
+        raise ValidationError("R tensor must be real, got a bool entry")
     return r.astype(float, copy=False)
 
 
@@ -191,8 +218,7 @@ def initial_state(name, x=None):
     if name == "Mix":
         if x is None:
             raise ValueError("Mix state requires the weight x")
-        if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
-                and 1 / 3 < x <= 1):
+        if not (_real(x) and 1 / 3 < x <= 1):
             raise ValueError(f"Mix weight must satisfy 1/3 < x <= 1, got {x}")
     elif x is not None:
         raise ValueError(f"weight x only applies to the Mix state, not {name}")

@@ -98,6 +98,74 @@ def test_public_names_are_unique_and_resolve():
         assert hasattr(spintrio, name), name
 
 
+def _bool_identity(r):
+    """r as nested lists whose identity entry is True, which numpy reads as
+    1.0 among the floats."""
+    nested = r.tolist()
+    row = nested
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = True
+    return nested
+
+
+_UP_RHO, _GHZ_R = pauli.initial_state("Up")[0], pauli.initial_state("GHZ")[1]
+_SHORT = IntegratorConfig(tau_max=0.1)
+# Each public taker of numbers, given one True among floats, and the start
+# of the message it refuses it with.
+HIDDEN_BOOL = {
+    "FieldSpec_omega0": (lambda: FieldSpec(omega0=True), "omega0, omega1"),
+    "FieldSpec_multiplier": (lambda: FieldSpec(multipliers=(1.0, True, 4.0)),
+                             "omega0, omega1"),
+    "CouplingConstants": (lambda: CouplingConstants(-0.2, True, -0.3),
+                          "exchange constants"),
+    "IntegratorConfig_dt": (lambda: IntegratorConfig(dt=True),
+                            "dt and tau_max"),
+    "Mix_weight": (lambda: pauli.initial_state("Mix", True), "Mix weight"),
+    "propagate_direct_taus": (lambda: propagate_direct(
+        _UP_RHO, FieldSpec(), SECT5, [0.0, True, 2.0]), "taus must be"),
+    "propagate_direct_dt": (lambda: propagate_direct(
+        _UP_RHO, FieldSpec(), SECT5, [0.0, 0.5], dt=True), "dt must be"),
+    "Custom_value": (lambda: integrate(_GHZ_R, FieldSpec(
+        kind="Custom", custom=lambda t: (-0.3, True, -1.0)), SECT5, _SHORT),
+        "Custom field at tau = 0 is"),
+    "build_hamiltonian": (lambda: pauli.build_hamiltonian(
+        (-0.3, 0.0, -1.0), (-0.6, True, -2.0), (-1.2, 0.0, -4.0), SECT5),
+        "field components must be reals, not bool"),
+    "integrate": (lambda: integrate(_bool_identity(_GHZ_R), FieldSpec(),
+                                    SECT5, _SHORT), "got a bool entry"),
+    "integrate_two": (lambda: integrate_two(
+        _bool_identity(_GHZ_R[:, :, 0]), FieldSpec(), -0.2, _SHORT),
+        "got a bool entry"),
+}
+
+
+@pytest.mark.parametrize("take, message", list(HIDDEN_BOOL.values()),
+                         ids=list(HIDDEN_BOOL))
+def test_every_taker_refuses_a_bool_among_floats(take, message):
+    # ValidationError is a ValueError; the message tells it from numpy's own
+    with pytest.raises(ValueError, match=message):
+        take()
+
+
+def test_int_fields_build_the_hamiltonian_of_float_fields():
+    fields = [(0, 1, -2), (3, 0, 1), (-1, -4, 2)]
+    as_int = pauli.build_hamiltonian(*fields, SECT5)
+    as_float = pauli.build_hamiltonian(*np.array(fields, dtype=float), SECT5)
+    assert as_int.tobytes() == as_float.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    FieldSpec(), FieldSpec(kind="Custom", custom=FIELD_COPIES["R"])],
+    ids=["R", "Custom"])
+def test_float_list_start_tensor_integrates_as_its_array(spec):
+    # the bool lookup reads a list and leaves the values numpy made of it
+    a, b = (integrate(r, spec, SECT5, _SHORT)
+            for r in (_GHZ_R, _GHZ_R.tolist()))
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.channels["b"].tobytes() == b.channels["b"].tobytes()
+
+
 class TestFieldAt:
     def test_resonant_at_zero(self):
         he, hp, hn = qubit_fields(FieldSpec(kind="R"), 0.0)

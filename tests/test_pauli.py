@@ -71,9 +71,15 @@ class TestHamiltonian:
                                     CouplingConstants(*rng.normal(size=3)))
         assert np.abs(H - H.conj().T).max() < 1e-14
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            pauli.build_hamiltonian([np.nan, 0, 0], [0, 0, 0], [0, 0, 0],
+    @pytest.mark.parametrize("h_e", [
+        [np.nan, 0, 0], (0, 1j, 0), (1e308, 1e308, 0),
+        [[0, 0, 1], [0, np.inf, 0]]],
+        ids=["nan", "complex", "row_sum_overflows", "inf_in_a_stack"])
+    def test_nonfinite_rejected(self, h_e):
+        # 1e308 + 1e308 overflows though each component is finite
+        with pytest.raises(ValueError,
+                           match="field components must be reals, not bool"):
+            pauli.build_hamiltonian(h_e, [0, 0, 0], [0, 0, 0],
                                     CouplingConstants())
 
     def test_commutator_matches_finite_difference_of_oracle(self):
